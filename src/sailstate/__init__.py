@@ -45,7 +45,6 @@ from .isa_model import (
     StateTable,
     derive_explicit_access,
     discover_states,
-    instruction_privileges,
 )
 from .parser import SailModel, parse_corpus, parse_unit
 from .tokens import Token, tokenize
@@ -85,7 +84,6 @@ __all__ = [
     "discover_states",
     "function_footprints",
     "instruction_insights",
-    "instruction_privileges",
     "load_backend",
     "load_traces",
     "parse_corpus",

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import BackendConfigError
-from .parser import GuardConfig
 
 # Address-convention privilege levels for the common mode names. Modes not
 # listed here fall back to their position in the declared order.
@@ -48,13 +47,6 @@ class BackendConfig:
     illegal_handler: str
     entry_functions: tuple[str, ...]
     path: str
-
-    def guard_config(self) -> GuardConfig:
-        return GuardConfig(
-            current_privilege=self.current_privilege,
-            mode_order=self.mode_order,
-            illegal_handler=self.illegal_handler,
-        )
 
     def level(self, mode: str) -> int:
         return self.mode_levels[mode]

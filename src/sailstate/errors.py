@@ -49,12 +49,12 @@ class UnknownCsrAddress(SailstateError):
     pass
 
 
-class UnknownInstruction(SailstateError):
-    pass
-
-
 class MissingEntryFunction(SailstateError):
-    """Raised only when callers opt into strict baseline checking."""
+    """A backend entry function is not defined in the corpus.
+
+    Raised whenever the baseline footprint is computed, which is the default
+    for every subcommand that analyses a corpus.
+    """
 
 
 class UnknownState(SailstateError):

@@ -1,10 +1,11 @@
-"""Per-function and per-instruction state access footprints.
+"""Per-function and per-instruction facts closed over the call graph.
 
 A footprint is two sets of (state, tag) pairs, reads and writes, where the
 tag says whether the access is explicit (operand or CSR-number addressed by
 the program) or implicit (a side effect the executing program never names).
-Footprints propagate through the call graph to a fixpoint, then each execute
-clause gets the union of its own accesses and its callees' footprints.
+Footprints, and the external functions and privilege guards a body can reach,
+each propagate once over one callee map to a fixpoint; each execute clause
+then gets the union of its own value and its callees' closed values.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .backend import BackendConfig, BankSpec
@@ -21,7 +22,7 @@ from .isa_model import (
     StateRef,
     compress_labels,
     expand_label_range,
-    instruction_privileges,
+    guards_from_harvest,
     natural_key,
 )
 from .parser import SailModel
@@ -129,12 +130,14 @@ def _propagation_callees(holder, model: SailModel, backend: BackendConfig) -> fr
     )
 
 
-def propagate(direct: Mapping[str, tuple[Footprint, Iterable[str]]]) -> dict[str, Footprint]:
-    """Transitive closure of footprints over a call graph, by worklist.
+def propagate(direct: Mapping[str, tuple[object, Iterable[str]]]) -> dict[str, object]:
+    """Transitive closure of values over a call graph, by worklist.
 
-    `direct` maps a name to its own footprint and its callee names; callee
-    names absent from the mapping are ignored. Handles cycles; the result is
-    the least fixpoint of result[n] = direct[n] U union(result[callees]).
+    `direct` maps a name to its own value and its callee names; callee names
+    absent from the mapping are ignored. A value is anything with an
+    idempotent, commutative `union` and value equality, such as a Footprint.
+    Handles cycles; the result is the least fixpoint of
+    result[n] = direct[n] U union(result[callees]).
     """
     names = sorted(direct)
     callees_of = {
@@ -165,6 +168,7 @@ def propagate(direct: Mapping[str, tuple[Footprint, Iterable[str]]]) -> dict[str
 def function_direct_footprints(
     model: SailModel, backend: BackendConfig
 ) -> dict[str, tuple[Footprint, frozenset[str]]]:
+    """Each function's own footprint, with the callees propagation follows."""
     return {
         name: (
             direct_footprint(fn, model, backend),
@@ -178,13 +182,7 @@ def function_footprints(model: SailModel, backend: BackendConfig) -> dict[str, F
     return propagate(function_direct_footprints(model, backend))
 
 
-def baseline_footprint(model: SailModel, backend: BackendConfig) -> Footprint:
-    """Union footprint of the configured dispatch entry functions.
-
-    This is the state every instruction touches simply by being fetched and
-    retired, independent of what the instruction itself does.
-    """
-    resolved = function_footprints(model, backend)
+def _baseline(resolved: Mapping[str, Footprint], backend: BackendConfig) -> Footprint:
     out = EMPTY_FOOTPRINT
     for entry in backend.entry_functions:
         if entry not in resolved:
@@ -194,6 +192,44 @@ def baseline_footprint(model: SailModel, backend: BackendConfig) -> Footprint:
             )
         out = out.union(resolved[entry])
     return out
+
+
+def baseline_footprint(model: SailModel, backend: BackendConfig) -> Footprint:
+    """Union footprint of the configured dispatch entry functions.
+
+    This is the state every instruction touches simply by being fetched and
+    retired, independent of what the instruction itself does.
+    """
+    return _baseline(function_footprints(model, backend), backend)
+
+
+@dataclass(frozen=True)
+class _Reach:
+    """Undefined functions and privilege guards a body reaches.
+
+    `guards` is None while no guard has been seen. None is the identity of
+    union, so an unguarded callee neither widens nor narrows a guarded path.
+    """
+
+    externals: frozenset[str] = frozenset()
+    guards: frozenset[str] | None = None
+
+    def union(self, other: "_Reach") -> "_Reach":
+        if other.guards is None:
+            guards = self.guards
+        elif self.guards is None:
+            guards = other.guards
+        else:
+            guards = self.guards | other.guards
+        return _Reach(self.externals | other.externals, guards)
+
+
+def _own_reach(holder, model: SailModel, backend: BackendConfig) -> _Reach:
+    externals = frozenset(
+        n for n in holder.callees | holder.lvalue_callees
+        if n not in model.functions and backend.bank_for_accessor(n) is None
+    )
+    return _Reach(externals, guards_from_harvest(holder.comparisons, holder.matches, backend))
 
 
 @dataclass(frozen=True)
@@ -206,32 +242,14 @@ class InstructionInsight:
     via: tuple[tuple[str, str, str, str], ...] = ()
 
 
-def _reachable_externals(holder, model: SailModel, backend: BackendConfig) -> frozenset[str]:
-    seen: set[str] = set()
-    externals: set[str] = set()
-    stack = sorted(holder.callees | holder.lvalue_callees)
-    while stack:
-        name = stack.pop()
-        if name in seen or backend.bank_for_accessor(name) is not None:
-            continue
-        seen.add(name)
-        fn = model.functions.get(name)
-        if fn is None:
-            externals.add(name)
-            continue
-        stack.extend(sorted(fn.callees | fn.lvalue_callees))
-    return frozenset(externals)
-
-
 def _via_paths(
-    clause,
     own: Footprint,
     total: Footprint,
     direct: Mapping[str, tuple[Footprint, frozenset[str]]],
-    model: SailModel,
-    backend: BackendConfig,
+    start: list[str],
 ) -> dict[tuple[str, str, str], str]:
-    """Shortest call path explaining each entry a callee contributed."""
+    """Shortest call path, from the sorted callees `start`, explaining each
+    entry a callee contributed."""
     need: dict[tuple[str, str, str], None] = {}
     for ref, tag in sorted(total.reads - own.reads, key=lambda e: (natural_key(e[0].label), e[1])):
         need[("r", tag, ref.label)] = None
@@ -240,7 +258,6 @@ def _via_paths(
     out: dict[tuple[str, str, str], str] = {}
     if not need:
         return out
-    start = sorted(_propagation_callees(clause, model, backend))
     queue: deque[tuple[str, tuple[str, ...]]] = deque((n, (n,)) for n in start)
     visited: set[str] = set(start)
     while queue and need:
@@ -272,18 +289,31 @@ def instruction_insights(
     *,
     include_baseline: bool = True,
 ) -> dict[str, InstructionInsight]:
+    """Footprint, privileges, externals and `via` paths of every instruction.
+
+    The function graph is closed twice by `propagate`, once over footprints
+    and once over reached externals and guards; both follow the same callee
+    map. An instruction with no guard on any path runs in every mode.
+    """
     direct = function_direct_footprints(model, backend)
     resolved = propagate(direct)
-    privileges = instruction_privileges(model, backend)
-    baseline = baseline_footprint(model, backend) if include_baseline else EMPTY_FOOTPRINT
+    reach = propagate({
+        name: (_own_reach(model.functions[name], model, backend), callees)
+        for name, (_, callees) in direct.items()
+    })
+    baseline = _baseline(resolved, backend) if include_baseline else EMPTY_FOOTPRINT
+    all_modes = frozenset(backend.mode_order)
 
     out: dict[str, InstructionInsight] = {}
     for name, clause in model.execute_clauses.items():
         own = direct_footprint(clause, model, backend)
+        callees = sorted(_propagation_callees(clause, model, backend))
         total = own
-        for callee in sorted(_propagation_callees(clause, model, backend)):
+        closed = _own_reach(clause, model, backend)
+        for callee in callees:
             total = total.union(resolved[callee])
-        via = _via_paths(clause, own, total, direct, model, backend)
+            closed = closed.union(reach[callee])
+        via = _via_paths(own, total, direct, callees)
         if include_baseline:
             for ref, tag in baseline.reads - total.reads:
                 via.setdefault(("r", tag, ref.label), "baseline")
@@ -292,9 +322,9 @@ def instruction_insights(
             total = total.union(baseline)
         out[name] = InstructionInsight(
             instruction=name,
-            privileges=privileges[name],
+            privileges=all_modes if closed.guards is None else closed.guards,
             footprint=total,
-            externals=_reachable_externals(clause, model, backend),
+            externals=closed.externals,
             via=tuple(sorted(
                 (d, t, lab, path) for (d, t, lab), path in via.items()
             )),

@@ -4,7 +4,7 @@ Turns a parsed corpus plus a backend config into:
   * a state table (internal registers, per-element register banks, CSRs and
     their named fields) with widths, kinds, and addresses,
   * per-mode explicit accessibility for every state,
-  * the privilege modes under which each instruction can execute.
+  * the privilege guards recognised in one function or clause body.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import warnings
 from dataclasses import dataclass
 
 from .backend import BackendConfig
-from .errors import MalformedLine, UnknownCsrAddress, UnknownInstruction, UnknownState
-from .parser import FunctionDef, SailModel, Token, guards_from_harvest
+from .errors import MalformedLine, UnknownCsrAddress, UnknownState
+from .parser import FunctionDef, MatchInfo, SailModel
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,6 @@ class StateTable:
             e for e in self.entries.values()
             if e.parent == register and e.ref.field is not None
         ]
-
-    def covering(self, label: str) -> frozenset[str]:
-        """The label itself plus the whole register that contains it."""
-        out = {label}
-        entry = self.entries.get(label)
-        if entry is not None and entry.ref.field is not None and entry.parent in self.entries:
-            out.add(entry.parent)
-        return frozenset(out)
 
     def covered_by(self, label: str) -> frozenset[str]:
         """The label itself plus every field it contains."""
@@ -341,56 +333,62 @@ def derive_explicit_access(
     return ExplicitAccess(read_modes, write_modes)
 
 
-# -- instruction privileges ------------------------------------------------
+# -- privilege guards ------------------------------------------------------
 
 
-def _merge_guards(a: frozenset[str] | None, b: frozenset[str] | None) -> frozenset[str] | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a | b
+def _admitted(op: str, mode: str, cur_on_left: bool, order: tuple[str, ...]) -> frozenset[str]:
+    idx = order.index(mode)
+    if op == "==":
+        return frozenset({mode})
+    if op == "!=":
+        return frozenset(m for m in order if m != mode)
+    if not cur_on_left:
+        flip = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
+        op = flip[op]
+    if op == ">=":
+        return frozenset(m for k, m in enumerate(order) if k >= idx)
+    if op == "<=":
+        return frozenset(m for k, m in enumerate(order) if k <= idx)
+    if op == ">":
+        return frozenset(m for k, m in enumerate(order) if k > idx)
+    if op == "<":
+        return frozenset(m for k, m in enumerate(order) if k < idx)
+    return frozenset()
 
 
-def instruction_privileges(model: SailModel, backend: BackendConfig) -> dict[str, frozenset[str]]:
-    """Modes each instruction can execute under.
+def guards_from_harvest(
+    comparisons: tuple[tuple[str, str, str], ...],
+    matches: tuple[MatchInfo, ...],
+    backend: BackendConfig,
+) -> frozenset[str] | None:
+    """Modes admitted by one body's privilege guards, or None when nothing guards.
 
-    A privilege guard found in the clause body or any transitively called
-    function contributes its admitted modes; contributions union. With no
-    guard anywhere, the instruction runs in every mode.
+    A guard compares the backend's current-privilege register with a mode
+    name, or matches on that register; a match arm that calls the backend's
+    illegal-instruction handler rejects its mode. Joining guards over the call
+    graph happens in footprint.instruction_insights.
     """
-    cfg = backend.guard_config()
-    fn_guard_cache: dict[str, frozenset[str] | None] = {}
-
-    def fn_own_guards(name: str) -> frozenset[str] | None:
-        if name not in fn_guard_cache:
-            fn = model.functions[name]
-            fn_guard_cache[name] = guards_from_harvest(fn.comparisons, fn.matches, cfg)
-        return fn_guard_cache[name]
-
-    all_modes = frozenset(cfg.mode_order)
-    out: dict[str, frozenset[str]] = {}
-    for name, clause in model.execute_clauses.items():
-        found = guards_from_harvest(clause.comparisons, clause.matches, cfg)
-        seen: set[str] = set()
-        stack = [c for c in sorted(clause.callees | clause.lvalue_callees)]
-        while stack:
-            callee = stack.pop()
-            if callee in seen or callee not in model.functions:
-                continue
-            seen.add(callee)
-            found = _merge_guards(found, fn_own_guards(callee))
-            fn = model.functions[callee]
-            stack.extend(sorted(fn.callees | fn.lvalue_callees))
-        out[name] = all_modes if found is None else found
-    return out
-
-
-def privileges_for(model: SailModel, backend: BackendConfig, instruction: str) -> frozenset[str]:
-    table = instruction_privileges(model, backend)
-    if instruction not in table:
-        raise UnknownInstruction(f"no execute clause for {instruction!r}")
-    return table[instruction]
+    cur, order = backend.current_privilege, backend.mode_order
+    admitted: set[str] = set()
+    found = False
+    for lhs, op, rhs in comparisons:
+        if lhs == cur and rhs in order:
+            admitted |= _admitted(op, rhs, True, order)
+            found = True
+        elif rhs == cur and lhs in order:
+            admitted |= _admitted(op, lhs, False, order)
+            found = True
+    for m in matches:
+        if m.subject != cur:
+            continue
+        mode_arms = [(p, called) for p, called in m.arms if p in order]
+        if not mode_arms:
+            continue
+        found = True
+        for pattern, called in mode_arms:
+            if backend.illegal_handler not in called:
+                admitted.add(pattern)
+    return frozenset(admitted) if found else None
 
 
 # -- label range helpers ---------------------------------------------------

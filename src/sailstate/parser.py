@@ -8,7 +8,7 @@ evaluated. Unrecognized top-level constructs become opaque spans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import (
     CrossFileDuplicate,
@@ -27,18 +27,6 @@ _TOP_ANCHORS = frozenset({
 
 _OPENERS = {"(": ")", "[": "]", "{": "}"}
 _CLOSERS = {")": "(", "]": "[", "}": "{"}
-
-
-@dataclass(frozen=True)
-class GuardConfig:
-    """Names needed to recognize privilege guards syntactically."""
-
-    current_privilege: str = "cur_privilege"
-    mode_order: tuple[str, ...] = ("User", "Supervisor", "Machine")
-    illegal_handler: str = "handle_illegal"
-
-
-DEFAULT_GUARD_CONFIG = GuardConfig()
 
 
 @dataclass(frozen=True)
@@ -99,9 +87,6 @@ class Harvest:
     matches: tuple[MatchInfo, ...]
 
 
-_EMPTY_HARVEST = Harvest(frozenset(), frozenset(), frozenset(), frozenset(), (), ())
-
-
 @dataclass(frozen=True)
 class FunctionDef:
     name: str
@@ -129,7 +114,6 @@ class ExecuteClause:
     lvalue_callees: frozenset[str]
     comparisons: tuple[tuple[str, str, str], ...]
     matches: tuple[MatchInfo, ...]
-    privilege_guards: frozenset[str] | None  # None when no guard was found
     path: str
     line: int
 
@@ -160,7 +144,6 @@ class SourceUnit:
 class SailModel:
     """Merged corpus with cross-file name resolution complete."""
 
-    units: tuple[SourceUnit, ...]
     registers: dict[str, RegisterDecl]
     bitfield_types: dict[str, BitfieldDecl]
     functions: dict[str, FunctionDef]
@@ -171,14 +154,12 @@ class SailModel:
     val_decls: frozenset[str]
     externals: frozenset[str]
     opaque_spans: tuple[OpaqueSpan, ...]
-    guard_config: GuardConfig
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SailModel):
             return NotImplemented
         return (
-            self.units == other.units
-            and self.registers == other.registers
+            self.registers == other.registers
             and self.bitfield_types == other.bitfield_types
             and self.functions == other.functions
             and self.execute_clauses == other.execute_clauses
@@ -187,14 +168,10 @@ class SailModel:
             and self.type_aliases == other.type_aliases
             and self.val_decls == other.val_decls
             and self.externals == other.externals
-            and self.guard_config == other.guard_config
         )
 
     def instructions(self) -> list[str]:
         return sorted(self.execute_clauses)
-
-    def register_fields(self) -> dict[str, frozenset[str]]:
-        return _register_fields(self.registers, self.bitfield_types)
 
 
 def _register_fields(
@@ -382,54 +359,6 @@ def harvest_body(
         tuple(comps),
         _find_matches(toks),
     )
-
-
-def _admitted(op: str, mode: str, cur_on_left: bool, order: tuple[str, ...]) -> frozenset[str]:
-    idx = order.index(mode)
-    if op == "==":
-        return frozenset({mode})
-    if op == "!=":
-        return frozenset(m for m in order if m != mode)
-    if not cur_on_left:
-        flip = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
-        op = flip[op]
-    if op == ">=":
-        return frozenset(m for k, m in enumerate(order) if k >= idx)
-    if op == "<=":
-        return frozenset(m for k, m in enumerate(order) if k <= idx)
-    if op == ">":
-        return frozenset(m for k, m in enumerate(order) if k > idx)
-    if op == "<":
-        return frozenset(m for k, m in enumerate(order) if k < idx)
-    return frozenset()
-
-
-def guards_from_harvest(
-    comparisons: tuple[tuple[str, str, str], ...],
-    matches: tuple[MatchInfo, ...],
-    cfg: GuardConfig,
-) -> frozenset[str] | None:
-    """Modes admitted by privilege guards, or None when nothing guards."""
-    admitted: set[str] = set()
-    found = False
-    for lhs, op, rhs in comparisons:
-        if lhs == cfg.current_privilege and rhs in cfg.mode_order:
-            admitted |= _admitted(op, rhs, True, cfg.mode_order)
-            found = True
-        elif rhs == cfg.current_privilege and lhs in cfg.mode_order:
-            admitted |= _admitted(op, lhs, False, cfg.mode_order)
-            found = True
-    for m in matches:
-        if m.subject != cfg.current_privilege:
-            continue
-        mode_arms = [(p, called) for p, called in m.arms if p in cfg.mode_order]
-        if not mode_arms:
-            continue
-        found = True
-        for pattern, called in mode_arms:
-            if cfg.illegal_handler not in called:
-                admitted.add(pattern)
-    return frozenset(admitted) if found else None
 
 
 class _UnitParser:
@@ -873,24 +802,19 @@ class _UnitParser:
 
         merged: dict[str, FunctionDef] = {}
         for name, params, body, line in self.raw_functions:
-            h = harvest_body(body, reg_fields)
-            if name in merged:
-                merged[name] = _merge_function(merged[name], params, body, h)
-            else:
-                merged[name] = FunctionDef(
-                    name, params, body, h.reads, h.writes, h.callees, h.lvalue_callees,
-                    h.comparisons, h.matches, 1, self.path, line,
-                )
-
-        clauses: dict[str, ExecuteClause] = {}
-        for name, operands, body, line in self.raw_clauses:
-            h = harvest_body(body, reg_fields)
-            clauses[name] = ExecuteClause(
-                name, operands, body, h.reads, h.writes, h.callees, h.lvalue_callees,
-                h.comparisons, h.matches,
-                guards_from_harvest(h.comparisons, h.matches, DEFAULT_GUARD_CONFIG),
-                self.path, line,
+            fn = FunctionDef(
+                name=name, params=params, body_tokens=body, clause_count=1,
+                path=self.path, line=line, **_harvest_fields(harvest_body(body, reg_fields)),
             )
+            merged[name] = _merge_decls(merged.get(name), fn)
+
+        clauses = {
+            name: ExecuteClause(
+                instruction=name, operands=operands, body_tokens=body,
+                path=self.path, line=line, **_harvest_fields(harvest_body(body, reg_fields)),
+            )
+            for name, operands, body, line in self.raw_clauses
+        }
 
         return SourceUnit(
             path=self.path,
@@ -906,23 +830,43 @@ class _UnitParser:
         )
 
 
-def _merge_function(
-    base: FunctionDef,
-    params: tuple[str, ...],
-    body: tuple[Token, ...],
-    h: Harvest,
-) -> FunctionDef:
+def _harvest_fields(h: Harvest) -> dict:
+    """Harvest results under the field names FunctionDef and ExecuteClause use."""
+    return {
+        "state_reads": h.reads,
+        "state_writes": h.writes,
+        "callees": h.callees,
+        "lvalue_callees": h.lvalue_callees,
+        "comparisons": h.comparisons,
+        "matches": h.matches,
+    }
+
+
+def _merge_decls(prev, new):
+    """Join `new` onto an earlier same-name definition `prev`, if there is one.
+
+    Bodies concatenate and harvests union; this is how scattered and
+    overloaded functions, and repeated execute clauses when asked, combine.
+    """
+    if prev is None:
+        return new
+    if isinstance(prev, FunctionDef):
+        own = {
+            "params": prev.params or new.params,
+            "clause_count": prev.clause_count + new.clause_count,
+        }
+    else:
+        own = {"operands": prev.operands or new.operands}
     return replace(
-        base,
-        params=base.params or params,
-        body_tokens=base.body_tokens + body,
-        state_reads=base.state_reads | h.reads,
-        state_writes=base.state_writes | h.writes,
-        callees=base.callees | h.callees,
-        lvalue_callees=base.lvalue_callees | h.lvalue_callees,
-        comparisons=base.comparisons + h.comparisons,
-        matches=base.matches + h.matches,
-        clause_count=base.clause_count + 1,
+        prev,
+        body_tokens=prev.body_tokens + new.body_tokens,
+        state_reads=prev.state_reads | new.state_reads,
+        state_writes=prev.state_writes | new.state_writes,
+        callees=prev.callees | new.callees,
+        lvalue_callees=prev.lvalue_callees | new.lvalue_callees,
+        comparisons=prev.comparisons + new.comparisons,
+        matches=prev.matches + new.matches,
+        **own,
     )
 
 
@@ -934,7 +878,6 @@ def parse_unit(tokens: list[Token], path: str = "<string>") -> SourceUnit:
 def parse_corpus(
     paths: list[str],
     *,
-    guard_config: GuardConfig | None = None,
     merge_duplicate_clauses: bool = False,
 ) -> SailModel:
     """Parse and merge a corpus of Sail files into one SailModel.
@@ -952,15 +895,12 @@ def parse_corpus(
         except OSError as exc:
             raise IoError(f"cannot read corpus file {p}: {exc}") from exc
         units.append(parse_unit(tokenize(text, str(p)), str(p)))
-    return merge_units(
-        units, guard_config=guard_config, merge_duplicate_clauses=merge_duplicate_clauses
-    )
+    return merge_units(units, merge_duplicate_clauses=merge_duplicate_clauses)
 
 
 def merge_units(
     units: list[SourceUnit],
     *,
-    guard_config: GuardConfig | None = None,
     merge_duplicate_clauses: bool = False,
 ) -> SailModel:
     units = sorted(units, key=lambda u: u.path)
@@ -985,75 +925,24 @@ def merge_units(
 
     reg_fields = _register_fields(registers, bitfields)
 
+    def reharvest(decl):
+        return replace(decl, **_harvest_fields(harvest_body(decl.body_tokens, reg_fields)))
+
     functions: dict[str, FunctionDef] = {}
-    for u in units:
-        for f in u.functions:
-            h = harvest_body(f.body_tokens, reg_fields)
-            if f.name in functions:
-                functions[f.name] = _merge_function(
-                    functions[f.name], f.params, f.body_tokens, h
-                )
-            else:
-                functions[f.name] = replace(
-                    f,
-                    state_reads=h.reads,
-                    state_writes=h.writes,
-                    callees=h.callees,
-                    lvalue_callees=h.lvalue_callees,
-                    comparisons=h.comparisons,
-                    matches=h.matches,
-                )
-
-    enums: dict[str, tuple[str, ...]] = {}
-    for u in units:
-        for name, members in u.enums:
-            enums.setdefault(name, members)
-
-    if guard_config is None:
-        mode_order = enums.get("Privilege", DEFAULT_GUARD_CONFIG.mode_order)
-        guard_config = replace(DEFAULT_GUARD_CONFIG, mode_order=tuple(mode_order))
-
     clauses: dict[str, ExecuteClause] = {}
     for u in units:
+        for f in u.functions:
+            functions[f.name] = _merge_decls(functions.get(f.name), reharvest(f))
+    for u in units:
         for c in u.execute_clauses:
-            h = harvest_body(c.body_tokens, reg_fields)
-            guards = guards_from_harvest(h.comparisons, h.matches, guard_config)
-            if c.instruction in clauses:
-                if not merge_duplicate_clauses:
-                    raise CrossFileDuplicate(
-                        f"execute clause {c.instruction!r} defined in both "
-                        f"{clauses[c.instruction].path} and {u.path}"
-                    )
-                prev = clauses[c.instruction]
-                merged_guards: frozenset[str] | None
-                if prev.privilege_guards is None or guards is None:
-                    merged_guards = None
-                else:
-                    merged_guards = prev.privilege_guards | guards
-                clauses[c.instruction] = replace(
-                    prev,
-                    operands=prev.operands or c.operands,
-                    body_tokens=prev.body_tokens + c.body_tokens,
-                    state_reads=prev.state_reads | h.reads,
-                    state_writes=prev.state_writes | h.writes,
-                    callees=prev.callees | h.callees,
-                    lvalue_callees=prev.lvalue_callees | h.lvalue_callees,
-                    comparisons=prev.comparisons + h.comparisons,
-                    matches=prev.matches + h.matches,
-                    privilege_guards=merged_guards,
+            if c.instruction in clauses and not merge_duplicate_clauses:
+                raise CrossFileDuplicate(
+                    f"execute clause {c.instruction!r} defined in both "
+                    f"{clauses[c.instruction].path} and {u.path}"
                 )
-            else:
-                clauses[c.instruction] = replace(
-                    c,
-                    state_reads=h.reads,
-                    state_writes=h.writes,
-                    callees=h.callees,
-                    lvalue_callees=h.lvalue_callees,
-                    comparisons=h.comparisons,
-                    matches=h.matches,
-                    privilege_guards=guards,
-                )
+            clauses[c.instruction] = _merge_decls(clauses.get(c.instruction), reharvest(c))
 
+    enums: dict[str, tuple[str, ...]] = {}
     mappings: dict[str, list[tuple[int, str]]] = {}
     for u in units:
         for mname, addr, reg in u.mappings:
@@ -1063,6 +952,8 @@ def merge_units(
     val_decls: set[str] = set()
     opaque: list[OpaqueSpan] = []
     for u in units:
+        for name, members in u.enums:
+            enums.setdefault(name, members)
         for name, width in u.type_aliases:
             type_aliases.setdefault(name, width)
         val_decls.update(u.val_decls)
@@ -1076,7 +967,6 @@ def merge_units(
     externals = frozenset(all_callees - set(functions))
 
     return SailModel(
-        units=tuple(units),
         registers={k: registers[k] for k in sorted(registers)},
         bitfield_types={k: bitfields[k] for k in sorted(bitfields)},
         functions={k: functions[k] for k in sorted(functions)},
@@ -1087,5 +977,4 @@ def merge_units(
         val_decls=frozenset(val_decls),
         externals=externals,
         opaque_spans=tuple(opaque),
-        guard_config=guard_config,
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -14,8 +15,9 @@ from sailstate.footprint import (
     instruction_insights,
     propagate,
 )
-from sailstate.isa_model import StateRef, natural_key
-from sailstate.parser import parse_corpus
+from sailstate.isa_model import StateRef, guards_from_harvest, natural_key
+from sailstate.parser import ExecuteClause, merge_units, parse_corpus, parse_unit
+from sailstate.tokens import tokenize
 
 from conftest import FIXTURES
 
@@ -199,3 +201,177 @@ def test_injected_bug_corpus_loses_the_side_effect(backend):
     insights = instruction_insights(model, backend)
     for name in ("SW", "SD", "SC"):
         assert "mip.MTIP" not in _labels(insights[name].footprint.writes)
+
+
+# -- externals and guards (per-clause graph walks as brute-force oracles) -----
+
+def _dfs_externals(holder, model, backend):
+    """Undefined callees reachable from one body, by a fresh walk per body."""
+    seen = set()
+    externals = set()
+    stack = sorted(holder.callees | holder.lvalue_callees)
+    while stack:
+        name = stack.pop()
+        if name in seen or backend.bank_for_accessor(name) is not None:
+            continue
+        seen.add(name)
+        fn = model.functions.get(name)
+        if fn is None:
+            externals.add(name)
+            continue
+        stack.extend(sorted(fn.callees | fn.lvalue_callees))
+    return frozenset(externals)
+
+
+def _dfs_privileges(holder, model, backend):
+    """Union of the guards in one body and every function it reaches.
+
+    Follows defined functions that are not bank accessors, the callee rule
+    footprints and externals use as well.
+    """
+    found = guards_from_harvest(holder.comparisons, holder.matches, backend)
+    seen = set()
+    stack = sorted(holder.callees | holder.lvalue_callees)
+    while stack:
+        callee = stack.pop()
+        if (
+            callee in seen
+            or callee not in model.functions
+            or backend.bank_for_accessor(callee) is not None
+        ):
+            continue
+        seen.add(callee)
+        fn = model.functions[callee]
+        own = guards_from_harvest(fn.comparisons, fn.matches, backend)
+        if found is None:
+            found = own
+        elif own is not None:
+            found = found | own
+        stack.extend(sorted(fn.callees | fn.lvalue_callees))
+    return frozenset(backend.mode_order) if found is None else found
+
+
+def _rooted_at_every_function(model):
+    """The model plus one empty clause per function that calls just it."""
+    clauses = dict(model.execute_clauses)
+    for name in model.functions:
+        clauses[f"CALLS_{name}"] = ExecuteClause(
+            f"CALLS_{name}", (), (), frozenset(), frozenset(), frozenset({name}),
+            frozenset(), (), (), "<rooted>", 0,
+        )
+    return dataclasses.replace(model, execute_clauses=clauses)
+
+
+def _assert_closure_matches_walks(model, backend, label):
+    insights = instruction_insights(model, backend, include_baseline=False)
+    assert sorted(insights) == sorted(model.execute_clauses), label
+    for name, clause in model.execute_clauses.items():
+        got = insights[name]
+        assert got.externals == _dfs_externals(clause, model, backend), (label, name)
+        assert got.privileges == _dfs_privileges(clause, model, backend), (label, name)
+
+
+_MODES = ("User", "Supervisor", "Machine")
+_GUARD_OPS = ("==", "!=", "<", "<=", ">", ">=")
+
+
+def _random_statement(rng, functions):
+    kind = rng.randrange(7)
+    if kind == 0:
+        return f"{rng.choice(functions)}()"
+    if kind == 1:
+        return f"{rng.choice(functions)}(0) = 1"  # lvalue call
+    if kind == 2:
+        return f"ext_{rng.randint(0, 4)}()"
+    if kind == 3:
+        return "X(1)"  # bank accessor: never followed
+    if kind == 4:
+        op, mode = rng.choice(_GUARD_OPS), rng.choice(_MODES)
+        test = (
+            f"cur_privilege {op} {mode}" if rng.random() < 0.5
+            else f"{mode} {op} cur_privilege"
+        )
+        return f"if {test} then () else handle_illegal()"
+    if kind == 5:
+        arms = ", ".join(
+            f"{mode} => {'handle_illegal()' if rng.random() < 0.4 else '()'}"
+            for mode in rng.sample(_MODES, rng.randint(1, 3))
+        )
+        return f"match cur_privilege {{ {arms} }}"
+    return "gctr = gctr + 1"
+
+
+def _random_corpus(rng):
+    """Sail text: functions with cycles, self-loops, undefined callees, and
+    guards anywhere, sometimes including a defined bank accessor."""
+    functions = [f"f{i}" for i in range(rng.randint(1, 12))]
+    defined = list(functions) + (["X"] if rng.random() < 0.3 else [])
+    lines = [
+        "enum Privilege = {User, Supervisor, Machine}",
+        "register cur_privilege : Privilege",
+        "register gctr : bits(64)",
+        "register Xs : vector(4, dec, xlenbits)",
+    ]
+
+    def body():
+        stmts = [_random_statement(rng, functions) for _ in range(rng.randint(0, 4))]
+        return "{ " + "; ".join(stmts + ["()"]) + " }"
+
+    for name in defined:
+        lines.append(f"function {name}(x) -> unit = {body()}")
+    for i in range(rng.randint(1, 8)):
+        lines.append(f"function clause execute I{i}() = {body()}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def graph_backend(tmp_path_factory):
+    ini = tmp_path_factory.mktemp("graphs") / "backend.ini"
+    ini.write_text(
+        "[modes]\norder = User, Supervisor, Machine\n"
+        "[state]\ncurrent_privilege_register = cur_privilege\n"
+        "gpr_bank = Xs\ngpr_prefix = x\n"
+        "[syntax]\ngpr_accessors = X\nillegal_handler = handle_illegal\n"
+    )
+    return load_backend(str(ini))
+
+
+def test_closure_matches_walks_on_random_graphs(graph_backend):
+    for seed in range(150):
+        text = _random_corpus(random.Random(seed))
+        model = merge_units([parse_unit(tokenize(text, "<g>"), "<g>")])
+        _assert_closure_matches_walks(_rooted_at_every_function(model), graph_backend, seed)
+
+
+@pytest.mark.parametrize("name", ["guards", "hyper"])
+def test_closure_matches_walks_on_fixtures(name):
+    d = FIXTURES / "corpora" / name
+    backend = load_backend(str(d / "backend.ini"))
+    model = _rooted_at_every_function(parse_corpus(sorted(d.glob("*.sail"))))
+    _assert_closure_matches_walks(model, backend, name)
+
+
+def test_closure_matches_walks_on_bundled(model, backend):
+    _assert_closure_matches_walks(_rooted_at_every_function(model), backend, "bundled")
+
+
+def test_guards_in_a_defined_bank_accessor_are_not_followed(graph_backend):
+    text = (
+        "enum Privilege = {User, Supervisor, Machine}\n"
+        "register cur_privilege : Privilege\n"
+        "register Xs : vector(4, dec, xlenbits)\n"
+        "function X(r) -> unit = {\n"
+        "  if cur_privilege == Machine then () else handle_illegal(); ext_from_x()\n"
+        "}\n"
+        "function guard() -> unit = { if cur_privilege >= Supervisor then () else handle_illegal() }\n"
+        "function clause execute VIA_ACCESSOR() = { X(1) }\n"
+        "function clause execute VIA_FUNCTION() = { X(1); guard() }\n"
+    )
+    model = merge_units([parse_unit(tokenize(text, "<t>"), "<t>")])
+    insights = instruction_insights(model, graph_backend, include_baseline=False)
+    # The accessor call is operand access, not a call edge: neither its
+    # guard nor its undefined callees reach the instruction.
+    assert insights["VIA_ACCESSOR"].privileges == frozenset(_MODES)
+    assert insights["VIA_ACCESSOR"].externals == frozenset()
+    assert insights["VIA_FUNCTION"].privileges == frozenset({"Supervisor", "Machine"})
+    assert insights["VIA_FUNCTION"].externals == frozenset({"handle_illegal"})

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sailstate.backend import load_backend
-from sailstate.errors import UnknownCsrAddress, UnknownInstruction, UnknownState
+from sailstate.errors import UnknownCsrAddress, UnknownState
 from sailstate.isa_model import (
     DEFAULT_PERMISSION_RULE,
     StateRef,
@@ -13,10 +13,9 @@ from sailstate.isa_model import (
     discover_states,
     expand_label_range,
     extract_permission_rule,
-    instruction_privileges,
     natural_key,
-    privileges_for,
 )
+from sailstate.footprint import instruction_insights
 from sailstate.parser import parse_corpus
 
 from conftest import FIXTURES
@@ -67,8 +66,7 @@ def test_labels_naturally_ordered(table):
     assert labels == sorted(labels, key=natural_key)
 
 
-def test_covering_and_covered_by(table):
-    assert table.covering("mstatus.FS") == {"mstatus.FS", "mstatus"}
+def test_covered_by(table):
     assert "mip.MTIP" in table.covered_by("mip")
     assert table.covered_by("mepc") == {"mepc"}
 
@@ -159,19 +157,21 @@ def test_unrecognizable_permission_body_falls_back():
 
 # -- instruction privileges -------------------------------------------------------
 
+def _privileges(model, backend):
+    insights = instruction_insights(model, backend)
+    return {name: ins.privileges for name, ins in insights.items()}
+
+
 def test_bundled_privileges(model, backend):
-    privs = instruction_privileges(model, backend)
+    privs = _privileges(model, backend)
     assert privs["MRET"] == frozenset({"Machine"})
     assert privs["SRET"] == frozenset({"Machine", "Supervisor"})
     assert privs["ADD"] == frozenset({"User", "Supervisor", "Machine"})
-    assert privileges_for(model, backend, "MRET") == frozenset({"Machine"})
-    with pytest.raises(UnknownInstruction):
-        privileges_for(model, backend, "BOGUS")
 
 
 def test_guard_forms():
     backend, model = _load("guards")
-    privs = instruction_privileges(model, backend)
+    privs = _privileges(model, backend)
     sm = frozenset({"Supervisor", "Machine"})
     assert privs["GE_SUPERVISOR"] == sm
     assert privs["FLIPPED_EQ"] == frozenset({"Machine"})

@@ -46,15 +46,12 @@ def test_instruction_clauses(model):
     mret = model.execute_clauses["MRET"]
     assert mret.operands == ()
     assert "exception_handler" in mret.callees
-    assert mret.privilege_guards == frozenset({"Machine"})
     sw = model.execute_clauses["SW"]
     assert sw.operands == ("imm", "rs2", "rs1")
-    assert sw.privilege_guards is None  # unguarded: runs anywhere
 
 
 def test_enum_and_mode_order(model):
     assert model.enums["Privilege"] == ("User", "Supervisor", "Machine")
-    assert model.guard_config.mode_order == ("User", "Supervisor", "Machine")
 
 
 def test_externals_are_called_but_undefined(model):
