@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .backend import BackendConfig
-from .errors import UnknownMode, UnknownState
+from .errors import MalformedLine, UnknownMode, UnknownState
 from .footprint import TAG_IMPLICIT, InstructionInsight
 from .isa_model import ExplicitAccess, StateTable, natural_key
 
@@ -344,19 +344,27 @@ def report_to_json(report: SensitivityReport) -> str:
 
 
 def report_from_json(text: str) -> SensitivityReport:
-    doc = json.loads(text)
-    results = tuple(
-        Sensitivity(
-            state=item["state"],
-            kind=item.get("kind", ""),
-            source=doc["source"],
-            target=doc["target"],
-            sensitive=bool(item["sensitive"]),
-            classes=tuple(item.get("classes", ())),
-            rules=tuple(item.get("rules_fired", ())),
-            justification=tuple(item.get("justification", ())),
-            bidirectional=bool(item.get("bidirectional", False)),
+    try:
+        doc = json.loads(text)
+        source, target = doc["source"], doc["target"]
+        results = tuple(
+            Sensitivity(
+                state=item["state"],
+                kind=item.get("kind", ""),
+                source=source,
+                target=target,
+                sensitive=bool(item["sensitive"]),
+                classes=tuple(item.get("classes", ())),
+                rules=tuple(item.get("rules_fired", ())),
+                justification=tuple(item.get("justification", ())),
+                bidirectional=bool(item.get("bidirectional", False)),
+            )
+            for item in doc["states"]
         )
-        for item in doc["states"]
-    )
-    return SensitivityReport(source=doc["source"], target=doc["target"], results=results)
+    except json.JSONDecodeError as exc:
+        raise MalformedLine(f"invalid JSON: {exc}") from None
+    except KeyError as exc:
+        raise MalformedLine(f"sensitivity report lacks key {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise MalformedLine(f"sensitivity report has the wrong shape: {exc}") from None
+    return SensitivityReport(source=source, target=target, results=results)

@@ -36,7 +36,7 @@ from .classifier import (
     report_to_json,
     sensitivity_rows,
 )
-from .errors import SailstateError
+from .errors import IoError, MalformedLine, SailstateError
 from .footprint import (
     INSIGHTS_COLUMNS,
     InstructionInsight,
@@ -90,6 +90,13 @@ def _corpus_paths(raw: list[str] | None) -> list[Path]:
     return paths
 
 
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
@@ -116,12 +123,8 @@ def _analysis_inputs(
     if getattr(args, "insights", None) or getattr(args, "states", None):
         if not (args.insights and args.states):
             raise SailstateError("--insights and --states must be given together")
-        insights = load_insights_csv(
-            Path(args.insights).read_text(encoding="utf-8"), args.insights
-        )
-        table, explicit = load_states_csv(
-            Path(args.states).read_text(encoding="utf-8"), args.states
-        )
+        insights = load_insights_csv(_read_text(args.insights, "insights"), args.insights)
+        table, explicit = load_states_csv(_read_text(args.states, "states"), args.states)
         return backend, insights, table, explicit
     model = parse_corpus(_corpus_paths(args.corpus))
     table = discover_states(model, backend)
@@ -192,11 +195,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    manifest = parse_manifest(
-        Path(args.manifest).read_text(encoding="utf-8"), args.manifest
-    )
+    manifest = parse_manifest(_read_text(args.manifest, "manifest"), args.manifest)
     if args.report:
-        report = report_from_json(Path(args.report).read_text(encoding="utf-8"))
+        try:
+            report = report_from_json(_read_text(args.report, "report"))
+        except MalformedLine as exc:
+            raise MalformedLine(f"{args.report}: {exc}") from None
     else:
         if not (args.source and args.target):
             raise SailstateError(

@@ -474,13 +474,19 @@ def load_states_csv(text: str, path: str = "<states>") -> tuple[StateTable, Expl
         if len(row) != len(STATES_COLUMNS):
             raise MalformedLine(f"{path}:{lineno}: expected {len(STATES_COLUMNS)} columns")
         label, kind, width, address, parent, readable, writable = row
-        entries.append(StateEntry(
-            ref=StateRef.parse(label),
-            kind=kind,
-            width=int(width) if width else None,
-            parent=parent or None,
-            address=int(address, 16) if address else None,
-        ))
+        try:
+            entries.append(StateEntry(
+                ref=StateRef.parse(label),
+                kind=kind,
+                width=int(width) if width else None,
+                parent=parent or None,
+                address=int(address, 16) if address else None,
+            ))
+        except ValueError:
+            raise MalformedLine(
+                f"{path}:{lineno}: width must be decimal and address hexadecimal, "
+                f"got {width!r} and {address!r}"
+            ) from None
         read_modes[label] = frozenset(readable.split())
         write_modes[label] = frozenset(writable.split())
     return StateTable(entries), ExplicitAccess(read_modes, write_modes)

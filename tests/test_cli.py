@@ -168,3 +168,57 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "parsed 8 files" in proc.stdout
+
+
+def _bad_input_argv(case, tmp_path):
+    """Arguments that feed `case`'s broken input file to the CLI."""
+    scan = tmp_path / "scan"
+    main(["scan", "--out", str(scan)])
+    states = scan / "states.csv"
+    komodo = str(AUDITS / "komodo.csv")
+    if case == "missing_manifest":
+        return ["audit", "--manifest", str(tmp_path / "gone.csv"),
+                "--source", "Supervisor", "--target", "Supervisor"]
+    if case == "missing_insights":
+        return ["classify", "--source", "Machine", "--target", "User",
+                "--insights", str(tmp_path / "gone.csv"), "--states", str(states)]
+    if case == "report_without_states":
+        report = tmp_path / "sensitivity.json"
+        report.write_text('{"source": "Supervisor", "target": "Supervisor"}\n')
+        return ["audit", "--manifest", komodo, "--report", str(report)]
+    if case == "report_not_json":
+        report = tmp_path / "sensitivity.json"
+        report.write_text('{"source": \n')
+        return ["audit", "--manifest", komodo, "--report", str(report)]
+    rows = states.read_text().splitlines()
+    label, kind, width, address, *rest = rows[1].split(",")
+    if case == "states_width_not_integer":
+        width = "sixtyfour"
+    else:
+        address = "0xZZZ"
+    rows[1] = ",".join([label, kind, width, address, *rest])
+    states.write_text("\n".join(rows) + "\n")
+    return ["classify", "--source", "Machine", "--target", "User",
+            "--insights", str(scan / "insights.csv"), "--states", str(states)]
+
+
+@pytest.mark.parametrize("case", [
+    "missing_manifest",
+    "missing_insights",
+    "report_without_states",
+    "report_not_json",
+    "states_width_not_integer",
+    "states_address_not_hex",
+])
+def test_bad_input_files_exit_one_without_traceback(tmp_path, case):
+    argv = _bad_input_argv(case, tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sailstate", *argv, "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "sailstate: error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    if case.startswith("states_"):
+        assert "states.csv:2:" in proc.stderr
