@@ -842,7 +842,9 @@ def _harvest_fields(h: Harvest) -> dict:
     }
 
 
-def _merge_decls(prev, new):
+def _merge_decls(
+    prev: FunctionDef | ExecuteClause | None, new: FunctionDef | ExecuteClause
+) -> FunctionDef | ExecuteClause:
     """Join `new` onto an earlier same-name definition `prev`, if there is one.
 
     Bodies concatenate and harvests union; this is how scattered and
