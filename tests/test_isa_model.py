@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from sailstate.backend import load_backend
 from sailstate.errors import UnknownCsrAddress, UnknownState
+from sailstate.footprint import instruction_insights
 from sailstate.isa_model import (
     DEFAULT_PERMISSION_RULE,
     StateRef,
@@ -15,7 +16,6 @@ from sailstate.isa_model import (
     extract_permission_rule,
     natural_key,
 )
-from sailstate.footprint import instruction_insights
 from sailstate.parser import parse_corpus
 
 from conftest import FIXTURES
