@@ -76,7 +76,7 @@ def load_backend(path: str) -> BackendConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise BackendConfigError(f"cannot read backend config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise BackendConfigError(f"malformed backend config {path}: {exc}") from exc

@@ -41,16 +41,29 @@ class AccessFlags:
 
 
 class AccessMatrix:
-    """Per (mode, state): the four access booleans driving the rules."""
+    """Per (mode, state): the four access booleans driving the rules.
 
-    def __init__(self, modes: tuple[str, ...], table: StateTable):
+    The implicit maps hold, per mode, every label with an implicit flag; the
+    derived maps hold the subset set by whole<->field derivation.
+    """
+
+    def __init__(
+        self,
+        modes: tuple[str, ...],
+        table: StateTable,
+        explicit: ExplicitAccess,
+        implicit_read: Mapping[str, set[str]],
+        implicit_write: Mapping[str, set[str]],
+        derived_read: Mapping[str, set[str]],
+        derived_write: Mapping[str, set[str]],
+    ):
         self.modes = modes
         self.table = table
-        self._impl_read: dict[str, set[str]] = {m: set() for m in modes}
-        self._impl_write: dict[str, set[str]] = {m: set() for m in modes}
-        self._derived_read: dict[str, set[str]] = {m: set() for m in modes}
-        self._derived_write: dict[str, set[str]] = {m: set() for m in modes}
-        self._explicit: ExplicitAccess | None = None
+        self._explicit = explicit
+        self._impl_read = implicit_read
+        self._impl_write = implicit_write
+        self._derived_read = derived_read
+        self._derived_write = derived_write
 
     def flags(self, mode: str, label: str) -> AccessFlags:
         if mode not in self._impl_read:
@@ -62,14 +75,29 @@ class AccessMatrix:
             derived.add("implicit_read")
         if label in self._derived_write[mode]:
             derived.add("implicit_write")
-        ex = self._explicit
         return AccessFlags(
-            explicit_read=ex.readable(label, mode) if ex else False,
-            explicit_write=ex.writable(label, mode) if ex else False,
+            explicit_read=self._explicit.readable(label, mode),
+            explicit_write=self._explicit.writable(label, mode),
             implicit_read=label in self._impl_read[mode],
             implicit_write=label in self._impl_write[mode],
             derived=frozenset(derived),
         )
+
+
+def _derive_whole_field(origin: set[str], table: StateTable) -> set[str]:
+    """Add to `origin` the parents and fields of its labels, one step, and
+    return what was added."""
+    additions: set[str] = set()
+    for label in origin:
+        entry = table[label]
+        if entry.ref.field is not None:
+            if entry.parent in table:
+                additions.add(entry.parent)
+        else:
+            additions.update(e.label for e in table.fields_of(label))
+    new = additions - origin
+    origin |= new
+    return new
 
 
 def build_access_matrix(
@@ -81,51 +109,38 @@ def build_access_matrix(
     """Populate the matrix from implicit footprint entries of executable
     instructions, then derive whole<->field implicit flags one step.
 
-    A flag derived from a sibling's original access does not seed further
-    derivation, so one written field never marks its siblings written.
+    One pass over the instructions checks each implicit label once and adds
+    it to every mode the instruction runs in. A flag derived from a sibling's
+    original access does not seed further derivation, so one written field
+    never marks its siblings written.
     """
-    matrix = AccessMatrix(backend.mode_order, table)
-    matrix._explicit = explicit
-    for mode in backend.mode_order:
-        impl_r = matrix._impl_read[mode]
-        impl_w = matrix._impl_write[mode]
-        for name in sorted(insights):
-            ins = insights[name]
-            if mode not in ins.privileges:
-                continue
-            for ref, tag in ins.footprint.reads:
-                if tag != TAG_IMPLICIT:
-                    continue
-                if ref.label not in table:
-                    raise UnknownState(
-                        f"instruction {name!r} references unknown state {ref.label!r}"
-                    )
-                impl_r.add(ref.label)
-            for ref, tag in ins.footprint.writes:
-                if tag != TAG_IMPLICIT:
-                    continue
-                if ref.label not in table:
-                    raise UnknownState(
-                        f"instruction {name!r} references unknown state {ref.label!r}"
-                    )
-                impl_w.add(ref.label)
-        # one-step whole<->field derivation from the original flags
-        for origin, derived in (
-            (impl_r, matrix._derived_read[mode]),
-            (impl_w, matrix._derived_write[mode]),
+    modes = backend.mode_order
+    impl_read: dict[str, set[str]] = {m: set() for m in modes}
+    impl_write: dict[str, set[str]] = {m: set() for m in modes}
+    for name in sorted(insights):
+        ins = insights[name]
+        admitted = [m for m in modes if m in ins.privileges]
+        if not admitted:
+            continue
+        for entries, by_mode in (
+            (ins.footprint.reads, impl_read),
+            (ins.footprint.writes, impl_write),
         ):
-            additions: set[str] = set()
-            for label in origin:
-                entry = table[label]
-                if entry.ref.field is not None:
-                    if entry.parent in table:
-                        additions.add(entry.parent)
-                else:
-                    additions.update(e.label for e in table.fields_of(label))
-            new = additions - origin
-            derived |= new
-            origin |= new
-    return matrix
+            for ref, tag in entries:
+                if tag != TAG_IMPLICIT:
+                    continue
+                label = ref.label
+                if label not in table:
+                    raise UnknownState(
+                        f"instruction {name!r} references unknown state {label!r}"
+                    )
+                for m in admitted:
+                    by_mode[m].add(label)
+    derived_read = {m: _derive_whole_field(impl_read[m], table) for m in modes}
+    derived_write = {m: _derive_whole_field(impl_write[m], table) for m in modes}
+    return AccessMatrix(
+        modes, table, explicit, impl_read, impl_write, derived_read, derived_write
+    )
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ from .isa_model import (
     load_states_csv,
     state_rows,
 )
-from .parser import parse_corpus
+from .parser import SailModel, parse_corpus
 from .traces import (
     STATUS_VIOLATION,
     load_traces,
@@ -126,17 +126,14 @@ def _analysis_inputs(
         insights = load_insights_csv(_read_text(args.insights, "insights"), args.insights)
         table, explicit = load_states_csv(_read_text(args.states, "states"), args.states)
         return backend, insights, table, explicit
-    model = parse_corpus(_corpus_paths(args.corpus))
-    table = discover_states(model, backend)
-    explicit = derive_explicit_access(model, backend, table)
-    insights = instruction_insights(
-        model, backend, include_baseline=args.include_baseline
-    )
+    _paths, _model, table, explicit, insights = _analyse_corpus(args, backend)
     return backend, insights, table, explicit
 
 
-def cmd_scan(args) -> int:
-    backend = load_backend(args.backend)
+def _analyse_corpus(
+    args, backend: BackendConfig
+) -> tuple[list[Path], SailModel, StateTable, ExplicitAccess, dict[str, InstructionInsight]]:
+    """Parse --corpus and derive its states, explicit access and insights."""
     paths = _corpus_paths(args.corpus)
     model = parse_corpus(paths, merge_duplicate_clauses=args.merge_duplicate_clauses)
     table = discover_states(model, backend)
@@ -144,6 +141,12 @@ def cmd_scan(args) -> int:
     insights = instruction_insights(
         model, backend, include_baseline=args.include_baseline
     )
+    return paths, model, table, explicit, insights
+
+
+def cmd_scan(args) -> int:
+    backend = load_backend(args.backend)
+    paths, model, table, explicit, insights = _analyse_corpus(args, backend)
     out = Path(args.out)
     _write_csv(out / "insights.csv", INSIGHTS_COLUMNS, insight_rows(insights, backend))
     _write_csv(out / "states.csv", STATES_COLUMNS, state_rows(table, explicit, backend))
@@ -232,6 +235,11 @@ def _add_common(sub: argparse.ArgumentParser, *, corpus: bool = True) -> None:
             metavar="PATH",
             help="source files or directories (default: bundled model)",
         )
+        sub.add_argument(
+            "--merge-duplicate-clauses",
+            action="store_true",
+            help="union repeated execute clauses instead of rejecting them",
+        )
     sub.add_argument(
         "--backend",
         default=bundled_backend_path(),
@@ -257,11 +265,6 @@ def build_parser() -> _ArgumentParser:
 
     scan = commands.add_parser("scan", help="parse a corpus and write access insights")
     _add_common(scan)
-    scan.add_argument(
-        "--merge-duplicate-clauses",
-        action="store_true",
-        help="union repeated execute clauses instead of rejecting them",
-    )
     scan.set_defaults(func=cmd_scan)
 
     classify = commands.add_parser(

@@ -397,6 +397,16 @@ def load_insights_csv(
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != INSIGHTS_COLUMNS:
         raise MalformedLine(f"{path}: expected header {','.join(INSIGHTS_COLUMNS)}")
+    # Rows repeat cells (every instruction carries the baseline), so each
+    # distinct (cell, tag) is expanded once per call.
+    parsed: dict[tuple[str, str], frozenset[Entry]] = {}
+
+    def entries(cell: str, tag: str) -> frozenset[Entry]:
+        key = (cell, tag)
+        if key not in parsed:
+            parsed[key] = frozenset(_cell_entries(cell, tag))
+        return parsed[key]
+
     insights: dict[str, InstructionInsight] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(INSIGHTS_COLUMNS):
@@ -408,8 +418,8 @@ def load_insights_csv(
             instruction=name,
             privileges=frozenset(privs.split()),
             footprint=Footprint(
-                reads=frozenset(_cell_entries(er, TAG_EXPLICIT) | _cell_entries(ir, TAG_IMPLICIT)),
-                writes=frozenset(_cell_entries(ew, TAG_EXPLICIT) | _cell_entries(iw, TAG_IMPLICIT)),
+                reads=entries(er, TAG_EXPLICIT) | entries(ir, TAG_IMPLICIT),
+                writes=entries(ew, TAG_EXPLICIT) | entries(iw, TAG_IMPLICIT),
             ),
             externals=frozenset(externals.split()),
         )

@@ -56,6 +56,16 @@ class StateEntry:
 class StateTable:
     def __init__(self, entries: list[StateEntry]):
         self.entries: dict[str, StateEntry] = {e.label: e for e in entries}
+        # Indexed once so lookups stay linear in the state count; callers
+        # get copies, never these containers.
+        fields: dict[str, list[StateEntry]] = {}
+        for e in self.entries.values():
+            if e.parent is not None and e.ref.field is not None:
+                fields.setdefault(e.parent, []).append(e)
+        self._fields: dict[str, tuple[StateEntry, ...]] = {
+            parent: tuple(group) for parent, group in fields.items()
+        }
+        self._labels: tuple[str, ...] = tuple(sorted(self.entries, key=natural_key))
 
     def __contains__(self, label: str) -> bool:
         return label in self.entries
@@ -67,7 +77,7 @@ class StateTable:
         return len(self.entries)
 
     def labels(self) -> list[str]:
-        return sorted(self.entries, key=natural_key)
+        return list(self._labels)
 
     def resolve(self, label: str) -> StateEntry:
         try:
@@ -76,10 +86,7 @@ class StateTable:
             raise UnknownState(f"unknown state {label!r}") from None
 
     def fields_of(self, register: str) -> list[StateEntry]:
-        return [
-            e for e in self.entries.values()
-            if e.parent == register and e.ref.field is not None
-        ]
+        return list(self._fields.get(register, ()))
 
     def covered_by(self, label: str) -> frozenset[str]:
         """The label itself plus every field it contains."""

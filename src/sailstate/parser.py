@@ -894,7 +894,7 @@ def parse_corpus(
         try:
             with open(p, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise IoError(f"cannot read corpus file {p}: {exc}") from exc
         units.append(parse_unit(tokenize(text, str(p)), str(p)))
     return merge_units(units, merge_duplicate_clauses=merge_duplicate_clauses)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -206,7 +206,7 @@ def load_traces(manifest_path: str) -> list[TraceBundle]:
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read trace manifest {manifest_path}: {exc}") from exc
 
     base = os.path.dirname(os.path.abspath(manifest_path))
@@ -236,15 +236,18 @@ def load_traces(manifest_path: str) -> list[TraceBundle]:
         try:
             with open(tpath, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise IoError(f"cannot read trace file {tpath}: {exc}") from exc
-        bundles.append(parse_trace(
+        bundle = parse_trace(
             text,
             tpath,
             instruction=name if flag == "instruction" else "",
             group=name if flag == "group" else None,
             mode_context=mode,
-        ))
+        )
+        # Reports name the file as the manifest does, so they do not depend
+        # on where the manifest lives; errors name the resolved path.
+        bundles.append(replace(bundle, source_path=fname))
     return bundles
 
 

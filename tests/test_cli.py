@@ -1,10 +1,12 @@
 import json
+import shutil
 import subprocess
 import sys
 
 import pytest
 
-from sailstate.cli import main
+from sailstate.backend import bundled_corpus_dir
+from sailstate.cli import build_parser, main
 
 from conftest import FIXTURES
 
@@ -73,6 +75,36 @@ def test_classify_from_scan_files_matches_corpus_run(tmp_path):
     assert (direct / "sensitivity.csv").read_bytes() == (from_files / "sensitivity.csv").read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan"],
+    ["classify", "--source", "Machine", "--target", "User"],
+    ["validate", "--traces", TRACE_MANIFEST],
+    ["audit", "--manifest", "m.csv"],
+])
+def test_every_corpus_command_takes_merge_duplicate_clauses(argv):
+    assert build_parser().parse_args([*argv, "--merge-duplicate-clauses"]).merge_duplicate_clauses
+
+
+def test_classify_merges_duplicate_clauses_like_scan(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(bundled_corpus_dir(), corpus)
+    shutil.copy(corpus / "insts_base.sail", corpus / "insts_base_again.sail")
+    scan_dir = tmp_path / "scan"
+    merge = ["--corpus", str(corpus), "--merge-duplicate-clauses"]
+    assert main(["scan", *merge, "--out", str(scan_dir)]) == 0
+    direct, from_files = tmp_path / "direct", tmp_path / "files"
+    args = ["classify", "--source", "Machine", "--target", "User"]
+    assert main(args + ["--corpus", str(corpus), "--out", str(direct)]) == 1
+    assert "defined in both" in capsys.readouterr().err
+    assert main(args + [*merge, "--out", str(direct)]) == 0
+    assert main(args + [
+        "--insights", str(scan_dir / "insights.csv"),
+        "--states", str(scan_dir / "states.csv"),
+        "--out", str(from_files),
+    ]) == 0
+    assert (direct / "sensitivity.csv").read_bytes() == (from_files / "sensitivity.csv").read_bytes()
+
+
 def test_classify_rejects_half_of_the_file_pair(tmp_path, capsys):
     rc = main([
         "classify", "--source", "Machine", "--target", "User",
@@ -90,6 +122,19 @@ def test_validate_bundled_corpus_passes(tmp_path, capsys):
     by_name = {r["name"]: r for r in doc["results"]}
     assert by_name["SC"]["unknown_registers"] == ["SEE"]
     assert by_name["FARITH"]["trace_files"]
+
+
+def test_validation_json_does_not_depend_on_the_trace_directory(tmp_path):
+    docs = []
+    for where in ("one", "two/deeper"):
+        traces = tmp_path / where / "traces"
+        shutil.copytree(FIXTURES / "traces", traces)
+        out = tmp_path / where / "out"
+        assert main(["validate", "--traces", str(traces / "traces.manifest"), "--out", str(out)]) == 0
+        docs.append((out / "validation.json").read_bytes())
+    assert docs[0] == docs[1]
+    by_name = {r["name"]: r for r in json.loads(docs[0])["results"]}
+    assert by_name["MRET"]["trace_files"] == ["mret_m.trace", "mret_s.trace"]
 
 
 def test_validate_flags_bug_corpus(tmp_path, capsys):
@@ -190,6 +235,16 @@ def _bad_input_argv(case, tmp_path):
         report = tmp_path / "sensitivity.json"
         report.write_text('{"source": \n')
         return ["audit", "--manifest", komodo, "--report", str(report)]
+    not_utf8 = tmp_path / "not_utf8"
+    not_utf8.write_bytes(b"\xff\xfe")
+    if case == "corpus_not_utf8":
+        return ["scan", "--corpus", str(not_utf8)]
+    if case == "backend_not_utf8":
+        return ["scan", "--backend", str(not_utf8)]
+    if case == "trace_not_utf8":
+        manifest = tmp_path / "traces.manifest"
+        manifest.write_text("not_utf8, ADD, instruction, -\n")
+        return ["validate", "--traces", str(manifest)]
     rows = states.read_text().splitlines()
     label, kind, width, address, *rest = rows[1].split(",")
     if case == "states_width_not_integer":
@@ -207,6 +262,9 @@ def _bad_input_argv(case, tmp_path):
     "missing_insights",
     "report_without_states",
     "report_not_json",
+    "corpus_not_utf8",
+    "backend_not_utf8",
+    "trace_not_utf8",
     "states_width_not_integer",
     "states_address_not_hex",
 ])

@@ -1,18 +1,24 @@
+import csv
 import dataclasses
+import io
 import random
 
 import pytest
 
-from sailstate.backend import load_backend
+from sailstate.backend import default_backend, load_backend
 from sailstate.errors import MissingEntryFunction
 from sailstate.footprint import (
     EMPTY_FOOTPRINT,
+    INSIGHTS_COLUMNS,
     TAG_EXPLICIT,
     TAG_IMPLICIT,
     Footprint,
+    InstructionInsight,
     baseline_footprint,
     function_footprints,
+    insight_rows,
     instruction_insights,
+    load_insights_csv,
     propagate,
 )
 from sailstate.isa_model import StateRef, guards_from_harvest, natural_key
@@ -375,3 +381,49 @@ def test_guards_in_a_defined_bank_accessor_are_not_followed(graph_backend):
     assert insights["VIA_ACCESSOR"].externals == frozenset()
     assert insights["VIA_FUNCTION"].privileges == frozenset({"Supervisor", "Machine"})
     assert insights["VIA_FUNCTION"].externals == frozenset({"handle_illegal"})
+
+
+# -- insights CSV round trip -----------------------------------------------------
+
+def _assert_insights_round_trip(want, backend):
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, INSIGHTS_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(insight_rows(want, backend))
+    got = load_insights_csv(buf.getvalue())
+    assert sorted(got) == sorted(want)
+    for instr, ins in want.items():
+        back = got[instr]
+        assert back.privileges == ins.privileges, instr
+        assert back.footprint.reads == ins.footprint.reads, instr
+        assert back.footprint.writes == ins.footprint.writes, instr
+        assert back.externals == ins.externals, instr
+
+
+@pytest.mark.parametrize("name", ["bundled", "bug_mem", "guards", "hyper", "perm"])
+@pytest.mark.parametrize("include_baseline", [True, False])
+def test_insights_csv_round_trip(name, include_baseline, corpus_paths):
+    if name == "bundled":
+        backend, paths = default_backend(), corpus_paths
+    else:
+        d = FIXTURES / "corpora" / name
+        ini = d / "backend.ini"
+        backend = load_backend(str(ini)) if ini.exists() else default_backend()
+        paths = sorted(d.glob("*.sail"))
+    want = instruction_insights(
+        parse_corpus(paths), backend, include_baseline=include_baseline
+    )
+    _assert_insights_round_trip(want, backend)
+
+
+def test_insights_csv_round_trip_keeps_tags_of_equal_cells():
+    modes = frozenset({"Machine"})
+    fp = _fp(
+        reads=[("mepc", TAG_EXPLICIT), ("x1", TAG_IMPLICIT), ("x2", TAG_IMPLICIT)],
+        writes=[("x1", TAG_EXPLICIT), ("x2", TAG_EXPLICIT), ("mepc", TAG_IMPLICIT)],
+    )
+    want = {
+        "A": InstructionInsight("A", modes, fp, frozenset({"ext"})),
+        "B": InstructionInsight("B", modes, _fp(reads=[("mepc", TAG_IMPLICIT)]), frozenset()),
+    }
+    _assert_insights_round_trip(want, default_backend())

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -8,7 +9,9 @@ from sailstate.errors import UnknownCsrAddress, UnknownState
 from sailstate.footprint import instruction_insights
 from sailstate.isa_model import (
     DEFAULT_PERMISSION_RULE,
+    StateEntry,
     StateRef,
+    StateTable,
     compress_labels,
     derive_explicit_access,
     discover_states,
@@ -69,6 +72,56 @@ def test_labels_naturally_ordered(table):
 def test_covered_by(table):
     assert "mip.MTIP" in table.covered_by("mip")
     assert table.covered_by("mepc") == {"mepc"}
+
+
+def _random_entries(rng):
+    """Registers with fields, bank elements, orphan fields and duplicates."""
+    entries = []
+    for i in rng.sample(range(40), rng.randint(0, 12)):
+        reg = f"r{i}"
+        entries.append(StateEntry(StateRef(reg), "csr", 64, None, 0x300 + i))
+        for k in rng.sample(range(12), rng.randint(0, 4)):
+            entries.append(StateEntry(StateRef(reg, f"F{k}"), "csr_field", 1, reg, None))
+        for k in range(rng.randint(0, 3)):
+            entries.append(StateEntry(StateRef(f"{reg}e{k}"), "gpr", 64, reg, None))
+    for k in range(rng.randint(0, 2)):
+        entries.append(StateEntry(StateRef("gone", f"F{k}"), "csr_field", 1, "gone", None))
+    if entries and rng.random() < 0.3:
+        entries.append(rng.choice(entries))
+    rng.shuffle(entries)
+    return entries
+
+
+def test_state_table_lookups_match_brute_force_scans():
+    for seed in range(200):
+        rng = random.Random(seed)
+        table = StateTable(_random_entries(rng))
+        everything = list(table.entries.values())
+        assert table.labels() == sorted(table.entries, key=natural_key), seed
+        names = {e.ref.register for e in everything} | {"gone", "nothing"}
+        for name in sorted(names | set(table.entries)):
+            want = [e for e in everything if e.parent == name and e.ref.field is not None]
+            assert table.fields_of(name) == want, (seed, name)
+            covered = {name}
+            if name in table.entries and table[name].ref.field is None:
+                covered.update(e.label for e in want)
+            assert table.covered_by(name) == covered, (seed, name)
+
+
+def test_state_table_results_are_copies():
+    table = StateTable([
+        StateEntry(StateRef("mip"), "csr", 64, None, 0x344),
+        StateEntry(StateRef("mip", "MTIP"), "csr_field", 1, "mip", 0x344),
+        StateEntry(StateRef("x2"), "gpr", 64, "Xs", None),
+        StateEntry(StateRef("x10"), "gpr", 64, "Xs", None),
+    ])
+    fields = table.fields_of("mip")
+    labels = table.labels()
+    fields.clear()
+    labels.reverse()
+    assert [e.label for e in table.fields_of("mip")] == ["mip.MTIP"]
+    assert table.labels() == ["mip", "mip.MTIP", "x2", "x10"]
+    assert table.covered_by("mip") == {"mip", "mip.MTIP"}
 
 
 def test_resolve_unknown_raises(table):

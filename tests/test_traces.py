@@ -122,6 +122,17 @@ def test_load_traces_errors(tmp_path):
         load_traces(str(m))
 
 
+def test_load_traces_rejects_files_that_are_not_utf8(tmp_path):
+    m = tmp_path / "m.csv"
+    m.write_bytes(b"\xff\xfe")
+    with pytest.raises(IoError, match="trace manifest"):
+        load_traces(str(m))
+    m.write_text("x.trace, FOO, instruction, -\n")
+    (tmp_path / "x.trace").write_bytes(b"\xff\xfe")
+    with pytest.raises(IoError, match="trace file .*x.trace"):
+        load_traces(str(m))
+
+
 # -- validation ------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
