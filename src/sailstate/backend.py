@@ -48,9 +48,6 @@ class BackendConfig:
     entry_functions: tuple[str, ...]
     path: str
 
-    def level(self, mode: str) -> int:
-        return self.mode_levels[mode]
-
     def modes_at_or_above(self, level: int) -> frozenset[str]:
         return frozenset(m for m in self.mode_order if self.mode_levels[m] >= level)
 
@@ -76,11 +73,15 @@ def load_backend(path: str) -> BackendConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh)
+        # Values interpolate when read, so a bad `%` surfaces only here.
+        return _backend_from(cp, path)
     except (OSError, UnicodeDecodeError) as exc:
         raise BackendConfigError(f"cannot read backend config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise BackendConfigError(f"malformed backend config {path}: {exc}") from exc
 
+
+def _backend_from(cp: configparser.ConfigParser, path: str) -> BackendConfig:
     if not cp.has_section("modes") or not cp.get("modes", "order", fallback="").strip():
         raise BackendConfigError(
             f"{path}: section [modes] must define 'order', e.g. "

@@ -105,14 +105,22 @@ def _write_text(path: Path, text: str) -> None:
 def _write_csv(path: Path, columns, rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if rows and isinstance(rows[0], dict):
-            writer = csv.DictWriter(fh, columns, lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
-        else:
-            plain = csv.writer(fh, lineterminator="\n")
-            plain.writerow(columns)
-            plain.writerows(rows)
+        writer = csv.DictWriter(fh, columns, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def _reject_corpus_flags(args, saved: str) -> None:
+    """Corpus flags mean nothing when saved results stand in for the corpus."""
+    given = [flag for flag, on in (
+        ("--corpus", args.corpus),
+        ("--merge-duplicate-clauses", args.merge_duplicate_clauses),
+        ("--no-include-baseline", not args.include_baseline),
+    ) if on]
+    if given:
+        raise SailstateError(
+            f"{', '.join(given)} cannot be combined with {saved}: saved results replace the corpus"
+        )
 
 
 def _analysis_inputs(
@@ -123,6 +131,7 @@ def _analysis_inputs(
     if getattr(args, "insights", None) or getattr(args, "states", None):
         if not (args.insights and args.states):
             raise SailstateError("--insights and --states must be given together")
+        _reject_corpus_flags(args, "--insights/--states")
         insights = load_insights_csv(_read_text(args.insights, "insights"), args.insights)
         table, explicit = load_states_csv(_read_text(args.states, "states"), args.states)
         return backend, insights, table, explicit
@@ -200,6 +209,7 @@ def cmd_validate(args) -> int:
 def cmd_audit(args) -> int:
     manifest = parse_manifest(_read_text(args.manifest, "manifest"), args.manifest)
     if args.report:
+        _reject_corpus_flags(args, "--report")
         try:
             report = report_from_json(_read_text(args.report, "report"))
         except MalformedLine as exc:

@@ -10,8 +10,6 @@ then gets the union of its own value and its callees' closed values.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -24,8 +22,9 @@ from .isa_model import (
     expand_label_range,
     guards_from_harvest,
     natural_key,
+    read_csv_rows,
 )
-from .parser import SailModel
+from .parser import Body, SailModel
 
 TAG_EXPLICIT = "explicit"
 TAG_IMPLICIT = "implicit"
@@ -87,30 +86,28 @@ def _mapped_accesses(
     return out
 
 
-def direct_footprint(holder, model: SailModel, backend: BackendConfig) -> Footprint:
+def direct_footprint(body: Body, model: SailModel, backend: BackendConfig) -> Footprint:
     """Footprint of one function or execute clause body, callees excluded.
 
-    `holder` is anything with state_reads/state_writes/callees/lvalue_callees
-    and a name attribute (FunctionDef.name or ExecuteClause.instruction).
     Accesses inside configured CSR helper bodies are explicit on the helper's
     direction; register-bank accessor calls are explicit operand access.
     """
-    name = getattr(holder, "name", None) or getattr(holder, "instruction", "")
-    in_read_helper = name in backend.csr_read_helpers
-    in_write_helper = name in backend.csr_write_helpers
+    h = body.harvest
+    in_read_helper = body.name in backend.csr_read_helpers
+    in_write_helper = body.name in backend.csr_write_helpers
 
     reads = _mapped_accesses(
-        holder.state_reads, model, backend, is_write=False, helper_explicit=in_read_helper
+        h.reads, model, backend, is_write=False, helper_explicit=in_read_helper
     )
     writes = _mapped_accesses(
-        holder.state_writes, model, backend, is_write=True, helper_explicit=in_write_helper
+        h.writes, model, backend, is_write=True, helper_explicit=in_write_helper
     )
 
-    for callee in holder.callees:
+    for callee in h.callees:
         bank = backend.bank_for_accessor(callee)
         if bank is not None:
             reads.update((ref, TAG_EXPLICIT) for ref in _bank_elements(bank, model))
-    for callee in holder.lvalue_callees:
+    for callee in h.lvalue_callees:
         bank = backend.bank_for_accessor(callee)
         if bank is not None:
             writes.update(
@@ -121,9 +118,9 @@ def direct_footprint(holder, model: SailModel, backend: BackendConfig) -> Footpr
     return Footprint(frozenset(reads), frozenset(writes))
 
 
-def _propagation_callees(holder, model: SailModel, backend: BackendConfig) -> frozenset[str]:
+def _propagation_callees(body: Body, model: SailModel, backend: BackendConfig) -> frozenset[str]:
     """Callees worth following: defined functions that are not bank accessors."""
-    names = holder.callees | holder.lvalue_callees
+    names = body.harvest.callees | body.harvest.lvalue_callees
     return frozenset(
         n for n in names
         if n in model.functions and backend.bank_for_accessor(n) is None
@@ -224,12 +221,13 @@ class _Reach:
         return _Reach(self.externals | other.externals, guards)
 
 
-def _own_reach(holder, model: SailModel, backend: BackendConfig) -> _Reach:
+def _own_reach(body: Body, model: SailModel, backend: BackendConfig) -> _Reach:
+    h = body.harvest
     externals = frozenset(
-        n for n in holder.callees | holder.lvalue_callees
+        n for n in h.callees | h.lvalue_callees
         if n not in model.functions and backend.bank_for_accessor(n) is None
     )
-    return _Reach(externals, guards_from_harvest(holder.comparisons, holder.matches, backend))
+    return _Reach(externals, guards_from_harvest(h, backend))
 
 
 @dataclass(frozen=True)
@@ -394,7 +392,7 @@ def load_insights_csv(
     text: str, path: str = "<insights>"
 ) -> dict[str, InstructionInsight]:
     """Inverse of insight_rows, minus call paths (not needed downstream)."""
-    rows = list(csv.reader(io.StringIO(text)))
+    rows = read_csv_rows(text, path)
     if not rows or tuple(rows[0]) != INSIGHTS_COLUMNS:
         raise MalformedLine(f"{path}: expected header {','.join(INSIGHTS_COLUMNS)}")
     # Rows repeat cells (every instruction carries the baseline), so each

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .backend import BackendConfig
 from .errors import MalformedLine, UnknownCsrAddress, UnknownState
-from .parser import FunctionDef, MatchInfo, SailModel
+from .parser import Body, Harvest, SailModel, int_literal
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ class CsrPermissionRule:
 DEFAULT_PERMISSION_RULE = CsrPermissionRule((9, 8), (11, 10), 0b11)
 
 
-def _param_slices(fn: FunctionDef) -> tuple[dict[str, tuple[int, int]], list[tuple[tuple[int, int], int]]]:
+def _param_slices(fn: Body) -> tuple[dict[str, tuple[int, int]], list[tuple[tuple[int, int], int]]]:
     """Find PARAM[hi .. lo] slices in a function body.
 
     Returns let-bound aliases of plain slices, and (slice, value) pairs for
@@ -208,8 +208,8 @@ def _param_slices(fn: FunctionDef) -> tuple[dict[str, tuple[int, int]], list[tup
             and toks[i + 4].kind == "literal"
             and toks[i + 5].text == "]"
         ):
-            hi = int(toks[i + 2].text.replace("_", ""), 0)
-            lo = int(toks[i + 4].text.replace("_", ""), 0)
+            hi = int_literal(toks[i + 2], f"address slice in {fn.name!r}")
+            lo = int_literal(toks[i + 4], f"address slice in {fn.name!r}")
             span = (hi, lo) if hi >= lo else (lo, hi)
             if i >= 3 and toks[i - 3].text == "let" and toks[i - 2].kind == "identifier" and toks[i - 1].text == "=":
                 aliases[toks[i - 2].text] = span
@@ -227,7 +227,7 @@ def _param_slices(fn: FunctionDef) -> tuple[dict[str, tuple[int, int]], list[tup
     return aliases, equality_tests
 
 
-def extract_permission_rule(fn: FunctionDef) -> CsrPermissionRule:
+def extract_permission_rule(fn: Body) -> CsrPermissionRule:
     """Recover the address-bit policy from a permission-check function.
 
     Looks for a let-bound address slice used in an order comparison (the
@@ -363,11 +363,7 @@ def _admitted(op: str, mode: str, cur_on_left: bool, order: tuple[str, ...]) -> 
     return frozenset()
 
 
-def guards_from_harvest(
-    comparisons: tuple[tuple[str, str, str], ...],
-    matches: tuple[MatchInfo, ...],
-    backend: BackendConfig,
-) -> frozenset[str] | None:
+def guards_from_harvest(harvest: Harvest, backend: BackendConfig) -> frozenset[str] | None:
     """Modes admitted by one body's privilege guards, or None when nothing guards.
 
     A guard compares the backend's current-privilege register with a mode
@@ -378,14 +374,14 @@ def guards_from_harvest(
     cur, order = backend.current_privilege, backend.mode_order
     admitted: set[str] = set()
     found = False
-    for lhs, op, rhs in comparisons:
+    for lhs, op, rhs in harvest.comparisons:
         if lhs == cur and rhs in order:
             admitted |= _admitted(op, rhs, True, order)
             found = True
         elif rhs == cur and lhs in order:
             admitted |= _admitted(op, lhs, False, order)
             found = True
-    for m in matches:
+    for m in harvest.matches:
         if m.subject != cur:
             continue
         mode_arms = [(p, called) for p, called in m.arms if p in order]
@@ -445,31 +441,43 @@ def compress_labels(labels) -> list[str]:
 
 # -- state table serialization ------------------------------------------------
 
+def read_csv_rows(text: str, path: str) -> list[list[str]]:
+    """All rows of a saved CSV file; MalformedLine naming `path` if it is not CSV."""
+    try:
+        return list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise MalformedLine(f"{path}: {exc}") from None
+
+
 STATES_COLUMNS = ("state", "kind", "width", "address", "parent", "readable", "writable")
 
 
 def state_rows(
     table: StateTable, explicit: ExplicitAccess, backend: BackendConfig
-) -> list[tuple[str, ...]]:
+) -> list[dict[str, str]]:
     order = {mode: i for i, mode in enumerate(backend.mode_order)}
+
+    def modes(by_label: dict[str, frozenset[str]], label: str) -> str:
+        return " ".join(sorted(by_label.get(label, ()), key=order.__getitem__))
+
     rows = []
     for label in table.labels():
         entry = table[label]
-        rows.append((
-            label,
-            entry.kind,
-            "" if entry.width is None else str(entry.width),
-            "" if entry.address is None else f"0x{entry.address:03X}",
-            entry.parent or "",
-            " ".join(sorted(explicit.read_modes.get(label, ()), key=order.__getitem__)),
-            " ".join(sorted(explicit.write_modes.get(label, ()), key=order.__getitem__)),
-        ))
+        rows.append({
+            "state": label,
+            "kind": entry.kind,
+            "width": "" if entry.width is None else str(entry.width),
+            "address": "" if entry.address is None else f"0x{entry.address:03X}",
+            "parent": entry.parent or "",
+            "readable": modes(explicit.read_modes, label),
+            "writable": modes(explicit.write_modes, label),
+        })
     return rows
 
 
 def load_states_csv(text: str, path: str = "<states>") -> tuple[StateTable, ExplicitAccess]:
     """Inverse of state_rows, for running later stages from saved files."""
-    rows = list(csv.reader(io.StringIO(text)))
+    rows = read_csv_rows(text, path)
     if not rows or tuple(rows[0]) != STATES_COLUMNS:
         raise MalformedLine(
             f"{path}: expected header {','.join(STATES_COLUMNS)}"

@@ -86,34 +86,29 @@ class Harvest:
     comparisons: tuple[tuple[str, str, str], ...]
     matches: tuple[MatchInfo, ...]
 
+    def union(self, other: "Harvest") -> "Harvest":
+        return Harvest(
+            self.reads | other.reads,
+            self.writes | other.writes,
+            self.callees | other.callees,
+            self.lvalue_callees | other.lvalue_callees,
+            self.comparisons + other.comparisons,
+            self.matches + other.matches,
+        )
+
 
 @dataclass(frozen=True)
-class FunctionDef:
+class Body:
+    """One function or execute clause and what harvest_body found in it.
+
+    A clause's name is its instruction; a function's params are those of the
+    first of its clauses that has any.
+    """
+
     name: str
     params: tuple[str, ...]
     body_tokens: tuple[Token, ...]
-    state_reads: frozenset[tuple[str, str | None]]
-    state_writes: frozenset[tuple[str, str | None]]
-    callees: frozenset[str]
-    lvalue_callees: frozenset[str]
-    comparisons: tuple[tuple[str, str, str], ...]
-    matches: tuple[MatchInfo, ...]
-    clause_count: int
-    path: str
-    line: int
-
-
-@dataclass(frozen=True)
-class ExecuteClause:
-    instruction: str
-    operands: tuple[str, ...]
-    body_tokens: tuple[Token, ...]
-    state_reads: frozenset[tuple[str, str | None]]
-    state_writes: frozenset[tuple[str, str | None]]
-    callees: frozenset[str]
-    lvalue_callees: frozenset[str]
-    comparisons: tuple[tuple[str, str, str], ...]
-    matches: tuple[MatchInfo, ...]
+    harvest: Harvest
     path: str
     line: int
 
@@ -131,8 +126,8 @@ class SourceUnit:
     path: str
     registers: tuple[RegisterDecl, ...]
     bitfield_types: tuple[BitfieldDecl, ...]
-    functions: tuple[FunctionDef, ...]
-    execute_clauses: tuple[ExecuteClause, ...]
+    functions: tuple[Body, ...]
+    execute_clauses: tuple[Body, ...]
     mappings: tuple[tuple[str, int, str], ...]  # (mapping name, address, register)
     enums: tuple[tuple[str, tuple[str, ...]], ...]
     type_aliases: tuple[tuple[str, int | None], ...]
@@ -140,35 +135,19 @@ class SourceUnit:
     opaque_spans: tuple[OpaqueSpan, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SailModel:
     """Merged corpus with cross-file name resolution complete."""
 
     registers: dict[str, RegisterDecl]
     bitfield_types: dict[str, BitfieldDecl]
-    functions: dict[str, FunctionDef]
-    execute_clauses: dict[str, ExecuteClause]
+    functions: dict[str, Body]
+    execute_clauses: dict[str, Body]
     mappings: dict[str, tuple[tuple[int, str], ...]]
     enums: dict[str, tuple[str, ...]]
     type_aliases: dict[str, int | None]
     val_decls: frozenset[str]
-    externals: frozenset[str]
     opaque_spans: tuple[OpaqueSpan, ...]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SailModel):
-            return NotImplemented
-        return (
-            self.registers == other.registers
-            and self.bitfield_types == other.bitfield_types
-            and self.functions == other.functions
-            and self.execute_clauses == other.execute_clauses
-            and self.mappings == other.mappings
-            and self.enums == other.enums
-            and self.type_aliases == other.type_aliases
-            and self.val_decls == other.val_decls
-            and self.externals == other.externals
-        )
 
     def instructions(self) -> list[str]:
         return sorted(self.execute_clauses)
@@ -183,6 +162,16 @@ def _register_fields(
         bf = bitfields.get(decl.rtype.base)
         table[name] = bf.field_names() if bf else frozenset()
     return table
+
+
+def int_literal(tok: Token, what: str) -> int:
+    """Value of a numeric literal token (decimal, 0x or 0b; `_` separators)."""
+    try:
+        return int(tok.text.replace("_", ""), 0)
+    except ValueError:
+        raise MalformedDeclaration(
+            f"bad numeric literal {tok.text!r} in {what}", tok.path, tok.line, tok.col
+        ) from None
 
 
 def _match_close(toks: list[Token], open_i: int) -> int:
@@ -405,15 +394,7 @@ class _UnitParser:
         if tok is None or tok.kind != "literal":
             raise self._error(f"expected a numeric literal in {what}", tok)
         self.i += 1
-        text = tok.text.replace("_", "")
-        try:
-            if text.startswith("0x"):
-                return int(text, 16)
-            if text.startswith("0b"):
-                return int(text, 2)
-            return int(text)
-        except ValueError as exc:
-            raise self._error(f"bad numeric literal {tok.text!r} in {what}", tok) from exc
+        return int_literal(tok, what)
 
     def _skip_balanced_from(self, open_i: int) -> int:
         close = _match_close(self.toks, open_i)
@@ -546,7 +527,7 @@ class _UnitParser:
             close = _match_close(self.toks, self.i)
             inner = self.toks[self.i + 1 : close]
             if len(inner) == 1 and inner[0].kind == "literal":
-                width = int(inner[0].text.replace("_", ""), 0)
+                width = int_literal(inner[0], f"register {regname!r} width")
             self.i = close + 1
             return RegisterType("bits", width=width)
         if base == "vector" and nxt is not None and nxt.text == "(":
@@ -555,7 +536,7 @@ class _UnitParser:
             size = None
             elem = None
             if inner and inner[0].kind == "literal":
-                size = int(inner[0].text.replace("_", ""), 0)
+                size = int_literal(inner[0], f"register {regname!r} vector size")
             if inner and inner[-1].kind in ("identifier", "keyword"):
                 elem = inner[-1].text
             self.i = close + 1
@@ -623,7 +604,10 @@ class _UnitParser:
                     break
                 span.append(t2)
                 j += 1
-            nums = [int(t.text.replace("_", ""), 0) for t in span if t.kind == "literal"]
+            nums = [
+                int_literal(t, f"field {fname!r} of bitfield {bfname!r}")
+                for t in span if t.kind == "literal"
+            ]
             if len(nums) >= 2 and any(t.text == ".." for t in span):
                 hi, lo = nums[0], nums[1]
             elif len(nums) == 1:
@@ -713,7 +697,7 @@ class _UnitParser:
             return None
         def as_addr(t: Token) -> int | None:
             if t.kind == "literal" and not t.text.startswith('"'):
-                return int(t.text.replace("_", ""), 0)
+                return int_literal(t, f"mapping clause {mapping_name!r}")
             return None
         def as_name(t: Token) -> str | None:
             if t.kind == "literal" and t.text.startswith('"'):
@@ -758,7 +742,7 @@ class _UnitParser:
                     close = _match_close(self.toks, self.i + 1)
                     inner = self.toks[self.i + 2 : close]
                     if len(inner) == 1 and inner[0].kind == "literal":
-                        width = int(inner[0].text.replace("_", ""), 0)
+                        width = int_literal(inner[0], f"type alias {name!r}")
                     self.i = close + 1
                     self.type_aliases.append((name, width))
                     return
@@ -800,21 +784,13 @@ class _UnitParser:
         bf_map = {b.name: b for b in self.bitfields}
         reg_fields = _register_fields(reg_map, bf_map)
 
-        merged: dict[str, FunctionDef] = {}
-        for name, params, body, line in self.raw_functions:
-            fn = FunctionDef(
-                name=name, params=params, body_tokens=body, clause_count=1,
-                path=self.path, line=line, **_harvest_fields(harvest_body(body, reg_fields)),
-            )
-            merged[name] = _merge_decls(merged.get(name), fn)
+        def body(name: str, params: tuple[str, ...], toks: tuple[Token, ...], line: int) -> Body:
+            return Body(name, params, toks, harvest_body(toks, reg_fields), self.path, line)
 
-        clauses = {
-            name: ExecuteClause(
-                instruction=name, operands=operands, body_tokens=body,
-                path=self.path, line=line, **_harvest_fields(harvest_body(body, reg_fields)),
-            )
-            for name, operands, body, line in self.raw_clauses
-        }
+        merged: dict[str, Body] = {}
+        for raw in self.raw_functions:
+            merged[raw[0]] = _merge_decls(merged.get(raw[0]), body(*raw))
+        clauses = {raw[0]: body(*raw) for raw in self.raw_clauses}
 
         return SourceUnit(
             path=self.path,
@@ -830,21 +806,7 @@ class _UnitParser:
         )
 
 
-def _harvest_fields(h: Harvest) -> dict:
-    """Harvest results under the field names FunctionDef and ExecuteClause use."""
-    return {
-        "state_reads": h.reads,
-        "state_writes": h.writes,
-        "callees": h.callees,
-        "lvalue_callees": h.lvalue_callees,
-        "comparisons": h.comparisons,
-        "matches": h.matches,
-    }
-
-
-def _merge_decls(
-    prev: FunctionDef | ExecuteClause | None, new: FunctionDef | ExecuteClause
-) -> FunctionDef | ExecuteClause:
+def _merge_decls(prev: Body | None, new: Body) -> Body:
     """Join `new` onto an earlier same-name definition `prev`, if there is one.
 
     Bodies concatenate and harvests union; this is how scattered and
@@ -852,23 +814,11 @@ def _merge_decls(
     """
     if prev is None:
         return new
-    if isinstance(prev, FunctionDef):
-        own = {
-            "params": prev.params or new.params,
-            "clause_count": prev.clause_count + new.clause_count,
-        }
-    else:
-        own = {"operands": prev.operands or new.operands}
     return replace(
         prev,
+        params=prev.params or new.params,
         body_tokens=prev.body_tokens + new.body_tokens,
-        state_reads=prev.state_reads | new.state_reads,
-        state_writes=prev.state_writes | new.state_writes,
-        callees=prev.callees | new.callees,
-        lvalue_callees=prev.lvalue_callees | new.lvalue_callees,
-        comparisons=prev.comparisons + new.comparisons,
-        matches=prev.matches + new.matches,
-        **own,
+        harvest=prev.harvest.union(new.harvest),
     )
 
 
@@ -927,22 +877,22 @@ def merge_units(
 
     reg_fields = _register_fields(registers, bitfields)
 
-    def reharvest(decl):
-        return replace(decl, **_harvest_fields(harvest_body(decl.body_tokens, reg_fields)))
+    def reharvest(decl: Body) -> Body:
+        return replace(decl, harvest=harvest_body(decl.body_tokens, reg_fields))
 
-    functions: dict[str, FunctionDef] = {}
-    clauses: dict[str, ExecuteClause] = {}
+    functions: dict[str, Body] = {}
+    clauses: dict[str, Body] = {}
     for u in units:
         for f in u.functions:
             functions[f.name] = _merge_decls(functions.get(f.name), reharvest(f))
     for u in units:
         for c in u.execute_clauses:
-            if c.instruction in clauses and not merge_duplicate_clauses:
+            if c.name in clauses and not merge_duplicate_clauses:
                 raise CrossFileDuplicate(
-                    f"execute clause {c.instruction!r} defined in both "
-                    f"{clauses[c.instruction].path} and {u.path}"
+                    f"execute clause {c.name!r} defined in both "
+                    f"{clauses[c.name].path} and {u.path}"
                 )
-            clauses[c.instruction] = _merge_decls(clauses.get(c.instruction), reharvest(c))
+            clauses[c.name] = _merge_decls(clauses.get(c.name), reharvest(c))
 
     enums: dict[str, tuple[str, ...]] = {}
     mappings: dict[str, list[tuple[int, str]]] = {}
@@ -961,13 +911,6 @@ def merge_units(
         val_decls.update(u.val_decls)
         opaque.extend(u.opaque_spans)
 
-    all_callees: set[str] = set()
-    for f in functions.values():
-        all_callees |= f.callees | f.lvalue_callees
-    for c in clauses.values():
-        all_callees |= c.callees | c.lvalue_callees
-    externals = frozenset(all_callees - set(functions))
-
     return SailModel(
         registers={k: registers[k] for k in sorted(registers)},
         bitfield_types={k: bitfields[k] for k in sorted(bitfields)},
@@ -977,6 +920,5 @@ def merge_units(
         enums={k: enums[k] for k in sorted(enums)},
         type_aliases={k: type_aliases[k] for k in sorted(type_aliases)},
         val_decls=frozenset(val_decls),
-        externals=externals,
         opaque_spans=tuple(opaque),
     )

@@ -2,8 +2,8 @@
 
 Traces come from an offline symbolic-execution producer, one file per
 instruction execution. A sidecar manifest names each file's instruction (or
-instruction group) and privilege-mode context. Validation checks that the
-statically computed footprint covers everything the traces observed.
+instruction group). Validation checks that the statically computed footprint
+covers everything the traces observed.
 """
 
 from __future__ import annotations
@@ -101,37 +101,21 @@ def parse_sexprs(text: str, path: str = "<trace>") -> list:
 
 @dataclass(frozen=True)
 class TraceEvent:
-    kind: str                      # read-reg | write-reg | other
+    kind: str                      # read-reg | write-reg
     register: str
     field_path: tuple[str, ...]
-    raw: tuple[int, int]           # (first line, last line)
 
 
 @dataclass(frozen=True)
 class TraceBundle:
     instruction: str
     group: str | None
-    mode_context: str | None
     events: tuple[TraceEvent, ...]
     source_path: str
 
     @property
     def name(self) -> str:
         return self.group or self.instruction
-
-
-def _form_lines(form) -> tuple[int, int]:
-    lines: list[int] = []
-    stack = [form]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, _Atom):
-            lines.append(item.line)
-        else:
-            stack.extend(item)
-    if not lines:
-        return (0, 0)
-    return (min(lines), max(lines))
 
 
 def _field_path(args) -> tuple[str, ...]:
@@ -154,40 +138,29 @@ def parse_trace(
     *,
     instruction: str = "",
     group: str | None = None,
-    mode_context: str | None = None,
 ) -> TraceBundle:
-    """Extract register access events; everything else is kind=other."""
-    forms = parse_sexprs(text, path)
+    """Extract the register read and write events, in file order."""
     events: list[TraceEvent] = []
-
-    def walk(form) -> None:
+    stack = list(reversed(parse_sexprs(text, path)))
+    while stack:
+        form = stack.pop()
         if not isinstance(form, list) or not form:
-            return
+            continue
         head = form[0]
-        if isinstance(head, _Atom) and head.text in ("read-reg", "write-reg"):
+        if not isinstance(head, _Atom):
+            stack.extend(reversed(form))
+        elif head.text in ("read-reg", "write-reg"):
             reg_atoms = [a for a in form[1:] if isinstance(a, _Atom)]
             if not reg_atoms:
                 raise MalformedSExpression(
                     f"{head.text} event without a register name", path, head.line
                 )
-            events.append(TraceEvent(
-                kind=head.text,
-                register=reg_atoms[0].text,
-                field_path=_field_path(form[2:]),
-                raw=_form_lines(form),
-            ))
-            return
-        if isinstance(head, _Atom) and head.text not in ("trace",):
-            events.append(TraceEvent("other", "", (), _form_lines(form)))
-        for item in form[1:] if isinstance(head, _Atom) else form:
-            walk(item)
-
-    for form in forms:
-        walk(form)
+            events.append(TraceEvent(head.text, reg_atoms[0].text, _field_path(form[2:])))
+        else:
+            stack.extend(reversed(form[1:]))
     return TraceBundle(
         instruction=instruction,
         group=group,
-        mode_context=mode_context,
         events=tuple(events),
         source_path=path,
     )
@@ -199,9 +172,9 @@ def parse_trace(
 def load_traces(manifest_path: str) -> list[TraceBundle]:
     """Read a trace manifest and parse every file it names.
 
-    Line format: `trace_file, instruction_or_group, group_flag, mode_context`
-    where group_flag is `instruction` or `group` and mode_context may be `-`
-    for unconstrained. `#` starts a comment.
+    Line format: `trace_file, instruction_or_group, group_flag[, mode_context]`
+    where group_flag is `instruction` or `group`. The mode column is accepted
+    for producers that write it, but not used. `#` starts a comment.
     """
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
@@ -222,7 +195,6 @@ def load_traces(manifest_path: str) -> list[TraceBundle]:
                 f"'trace_file, name, instruction|group[, mode]', got {raw!r}"
             )
         fname, name, flag = parts[0], parts[1], parts[2]
-        mode = parts[3] if len(parts) == 4 and parts[3] not in ("", "-") else None
         if not name:
             raise MissingManifestEntry(
                 f"{manifest_path}:{lineno}: empty instruction/group name"
@@ -243,7 +215,6 @@ def load_traces(manifest_path: str) -> list[TraceBundle]:
             tpath,
             instruction=name if flag == "instruction" else "",
             group=name if flag == "group" else None,
-            mode_context=mode,
         )
         # Reports name the file as the manifest does, so they do not depend
         # on where the manifest lives; errors name the resolved path.
@@ -259,7 +230,6 @@ class TraceFootprint:
     name: str
     reads: frozenset[StateRef]
     writes: frozenset[StateRef]
-    unknown_registers: frozenset[str]  # filled during validation
 
 
 def trace_footprint(bundles: Iterable[TraceBundle]) -> TraceFootprint:
@@ -276,11 +246,9 @@ def trace_footprint(bundles: Iterable[TraceBundle]) -> TraceFootprint:
     writes: set[StateRef] = set()
     for b in bundles:
         for ev in b.events:
-            if ev.kind == "read-reg":
-                reads.add(StateRef(ev.register, ev.field_path[0] if ev.field_path else None))
-            elif ev.kind == "write-reg":
-                writes.add(StateRef(ev.register, ev.field_path[0] if ev.field_path else None))
-    return TraceFootprint(names.pop(), frozenset(reads), frozenset(writes), frozenset())
+            ref = StateRef(ev.register, ev.field_path[0] if ev.field_path else None)
+            (reads if ev.kind == "read-reg" else writes).add(ref)
+    return TraceFootprint(names.pop(), frozenset(reads), frozenset(writes))
 
 
 STATUS_VALIDATED = "validated"

@@ -267,12 +267,8 @@ def _write_synthetic_corpus(files, out_dir: Path, copies: int) -> int:
 UPSTREAM_ENV = "SAILSTATE_UPSTREAM_MODEL"
 
 
-def test_ac8_upstream_model_census():
-    root = os.environ.get(UPSTREAM_ENV)
-    if not root:
-        pytest.skip(f"set {UPSTREAM_ENV} to a RISC-V model checkout to enable")
-    paths = sorted(Path(root).rglob("*.sail"))
-    assert paths, f"{UPSTREAM_ENV}={root} contains no .sail files"
+def _census(paths):
+    """(instructions, CSRs, sensitive CSR states for Supervisor -> User)."""
     backend = load_backend(bundled_backend_path())
     model = parse_corpus(paths)
     table = discover_states(model, backend, strict=False)
@@ -280,14 +276,26 @@ def test_ac8_upstream_model_census():
     insights = instruction_insights(model, backend)
     matrix = build_access_matrix(insights, explicit, table, backend)
     report = classify_all("Supervisor", "User", matrix)
-
-    instructions = len(model.instructions())
-    csr_states = sum(1 for e in table if e.kind == "csr")
+    csr_states = sum(1 for label in table.labels() if table[label].kind == "csr")
     sensitive_csrs = sum(
         1
         for s in report.results
         if s.sensitive and s.kind in ("csr", "csr_field")
     )
+    return len(model.instructions()), csr_states, sensitive_csrs
+
+
+def test_census_of_the_bundled_model(corpus_paths):
+    assert _census(corpus_paths) == (19, 21, 26)
+
+
+def test_ac8_upstream_model_census():
+    root = os.environ.get(UPSTREAM_ENV)
+    if not root:
+        pytest.skip(f"set {UPSTREAM_ENV} to a RISC-V model checkout to enable")
+    paths = sorted(Path(root).rglob("*.sail"))
+    assert paths, f"{UPSTREAM_ENV}={root} contains no .sail files"
+    instructions, csr_states, sensitive_csrs = _census(paths)
     assert 320 <= instructions <= 391, instructions  # 355 +/- 10%
     assert 144 <= csr_states <= 176, csr_states      # 160 +/- 10%
     assert 63 <= sensitive_csrs <= 77, sensitive_csrs  # 70 +/- 10%

@@ -114,6 +114,43 @@ def test_classify_rejects_half_of_the_file_pair(tmp_path, capsys):
     assert "sailstate: error:" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """insights.csv, states.csv and a Supervisor -> Supervisor sensitivity.json."""
+    out = tmp_path_factory.mktemp("saved")
+    assert main(["scan", "--out", str(out)]) == 0
+    assert main([
+        "classify", "--source", "Supervisor", "--target", "Supervisor",
+        "--format", "json", "--out", str(out),
+    ]) == 0
+    return out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--corpus", "/nonexistent/dir"],
+    ["--merge-duplicate-clauses"],
+    ["--no-include-baseline"],
+    ["--corpus", "/nonexistent/dir", "--merge-duplicate-clauses", "--no-include-baseline"],
+])
+@pytest.mark.parametrize("command", ["classify", "validate", "audit"])
+def test_corpus_flags_are_rejected_with_saved_inputs(tmp_path, capsys, saved, command, flags):
+    files = ["--insights", str(saved / "insights.csv"), "--states", str(saved / "states.csv")]
+    argv = {
+        "classify": ["classify", "--source", "Machine", "--target", "User", *files],
+        "validate": ["validate", "--traces", TRACE_MANIFEST, *files],
+        "audit": ["audit", "--manifest", str(AUDITS / "komodo.csv"),
+                  "--report", str(saved / "sensitivity.json")],
+    }[command]
+    out = tmp_path / "out"
+    assert main([*argv, *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "sailstate: error:" in err
+    for flag in flags:
+        if flag.startswith("--"):
+            assert flag in err
+    assert not out.exists()
+
+
 def test_validate_bundled_corpus_passes(tmp_path, capsys):
     rc = main(["validate", "--traces", TRACE_MANIFEST, "--out", str(tmp_path)])
     assert rc == 0
@@ -215,8 +252,24 @@ def test_module_entry_point(tmp_path):
     assert "parsed 8 files" in proc.stdout
 
 
+BAD_LITERAL_CORPORA = {
+    "bits_width_leading_zero": "register r : bits(08)\n",
+    "bits_width_bare_binary_prefix": "register r : bits(0b_)\n",
+    "vector_size_bare_hex_prefix": "register v : vector(0x_, bits(8))\n",
+    "bitfield_range_string": 'bitfield B : bits(8) = { A : "x" .. 0 }\n',
+    "mapping_address_bare_hex_prefix": 'mapping clause csr_name_map = 0x_ <-> "r"\n',
+    "type_alias_leading_zero": "type t = bits(09)\n",
+    "permission_slice_bare_hex_prefix":
+        "function csr_access_ok(csr) = { let m = csr[0x_ .. 8]; m }\n",
+}
+
+
 def _bad_input_argv(case, tmp_path):
     """Arguments that feed `case`'s broken input file to the CLI."""
+    if case in BAD_LITERAL_CORPORA:
+        src = tmp_path / "bad.sail"
+        src.write_text(BAD_LITERAL_CORPORA[case])
+        return ["scan", "--corpus", str(src)]
     scan = tmp_path / "scan"
     main(["scan", "--out", str(scan)])
     states = scan / "states.csv"
@@ -267,6 +320,7 @@ def _bad_input_argv(case, tmp_path):
     "trace_not_utf8",
     "states_width_not_integer",
     "states_address_not_hex",
+    *BAD_LITERAL_CORPORA,
 ])
 def test_bad_input_files_exit_one_without_traceback(tmp_path, case):
     argv = _bad_input_argv(case, tmp_path)
@@ -280,3 +334,5 @@ def test_bad_input_files_exit_one_without_traceback(tmp_path, case):
     assert "Traceback" not in proc.stderr
     if case.startswith("states_"):
         assert "states.csv:2:" in proc.stderr
+    if case in BAD_LITERAL_CORPORA:
+        assert "bad.sail:1:" in proc.stderr

@@ -22,7 +22,7 @@ from sailstate.footprint import (
     propagate,
 )
 from sailstate.isa_model import StateRef, guards_from_harvest, natural_key
-from sailstate.parser import ExecuteClause, merge_units, parse_corpus, parse_unit
+from sailstate.parser import Body, Harvest, merge_units, parse_corpus, parse_unit
 from sailstate.tokens import tokenize
 
 from conftest import FIXTURES
@@ -211,11 +211,11 @@ def test_injected_bug_corpus_loses_the_side_effect(backend):
 
 # -- externals and guards (per-clause graph walks as brute-force oracles) -----
 
-def _dfs_externals(holder, model, backend):
+def _dfs_externals(body, model, backend):
     """Undefined callees reachable from one body, by a fresh walk per body."""
     seen = set()
     externals = set()
-    stack = sorted(holder.callees | holder.lvalue_callees)
+    stack = sorted(body.harvest.callees | body.harvest.lvalue_callees)
     while stack:
         name = stack.pop()
         if name in seen or backend.bank_for_accessor(name) is not None:
@@ -225,19 +225,19 @@ def _dfs_externals(holder, model, backend):
         if fn is None:
             externals.add(name)
             continue
-        stack.extend(sorted(fn.callees | fn.lvalue_callees))
+        stack.extend(sorted(fn.harvest.callees | fn.harvest.lvalue_callees))
     return frozenset(externals)
 
 
-def _dfs_privileges(holder, model, backend):
+def _dfs_privileges(body, model, backend):
     """Union of the guards in one body and every function it reaches.
 
     Follows defined functions that are not bank accessors, the callee rule
     footprints and externals use as well.
     """
-    found = guards_from_harvest(holder.comparisons, holder.matches, backend)
+    found = guards_from_harvest(body.harvest, backend)
     seen = set()
-    stack = sorted(holder.callees | holder.lvalue_callees)
+    stack = sorted(body.harvest.callees | body.harvest.lvalue_callees)
     while stack:
         callee = stack.pop()
         if (
@@ -248,12 +248,12 @@ def _dfs_privileges(holder, model, backend):
             continue
         seen.add(callee)
         fn = model.functions[callee]
-        own = guards_from_harvest(fn.comparisons, fn.matches, backend)
+        own = guards_from_harvest(fn.harvest, backend)
         if found is None:
             found = own
         elif own is not None:
             found = found | own
-        stack.extend(sorted(fn.callees | fn.lvalue_callees))
+        stack.extend(sorted(fn.harvest.callees | fn.harvest.lvalue_callees))
     return frozenset(backend.mode_order) if found is None else found
 
 
@@ -261,10 +261,8 @@ def _rooted_at_every_function(model):
     """The model plus one empty clause per function that calls just it."""
     clauses = dict(model.execute_clauses)
     for name in model.functions:
-        clauses[f"CALLS_{name}"] = ExecuteClause(
-            f"CALLS_{name}", (), (), frozenset(), frozenset(), frozenset({name}),
-            frozenset(), (), (), "<rooted>", 0,
-        )
+        calls = Harvest(frozenset(), frozenset(), frozenset({name}), frozenset(), (), ())
+        clauses[f"CALLS_{name}"] = Body(f"CALLS_{name}", (), (), calls, "<rooted>", 0)
     return dataclasses.replace(model, execute_clauses=clauses)
 
 

@@ -44,19 +44,20 @@ def test_register_and_bitfield_decls(model):
 
 def test_instruction_clauses(model):
     mret = model.execute_clauses["MRET"]
-    assert mret.operands == ()
-    assert "exception_handler" in mret.callees
+    assert mret.params == ()
+    assert "exception_handler" in mret.harvest.callees
     sw = model.execute_clauses["SW"]
-    assert sw.operands == ("imm", "rs2", "rs1")
+    assert sw.params == ("imm", "rs2", "rs1")
 
 
 def test_enum_and_mode_order(model):
     assert model.enums["Privilege"] == ("User", "Supervisor", "Machine")
 
 
-def test_externals_are_called_but_undefined(model):
-    assert "phys_mem_write" in model.externals
-    assert "exception_handler" not in model.externals
+def test_externals_are_called_but_undefined(insights):
+    externals = set().union(*(ins.externals for ins in insights.values()))
+    assert "phys_mem_write" in externals
+    assert "exception_handler" not in externals
 
 
 def test_corpus_parse_is_path_order_independent(corpus_paths):
@@ -69,12 +70,12 @@ def test_corpus_parse_is_path_order_independent(corpus_paths):
 
 def test_wrapped_execute_clause_form():
     m = _model("function clause execute (FOO(rd, rs1)) = { Xs = rd }")
-    assert m.execute_clauses["FOO"].operands == ("rd", "rs1")
+    assert m.execute_clauses["FOO"].params == ("rd", "rs1")
 
 
 def test_typed_operands_take_first_ident():
     m = _model("function clause execute BAR(imm : bits(12), rd : regidx) = { nop }")
-    assert m.execute_clauses["BAR"].operands == ("imm", "rd")
+    assert m.execute_clauses["BAR"].params == ("imm", "rd")
 
 
 def test_scattered_function_clauses_union():
@@ -84,9 +85,8 @@ def test_scattered_function_clauses_union():
         "function clause kaboom(y) = { b = a }\n"
     )
     fn = m.functions["kaboom"]
-    assert fn.clause_count == 2
-    assert set(fn.state_writes) == {("a", None), ("b", None)}
-    assert ("a", None) in fn.state_reads
+    assert set(fn.harvest.writes) == {("a", None), ("b", None)}
+    assert ("a", None) in fn.harvest.reads
 
 
 def test_function_merge_across_files():
@@ -94,7 +94,7 @@ def test_function_merge_across_files():
         "register a : bits(8)\nfunction clause f(x) = { a = x }",
         "register b : bits(8)\nfunction clause f(y) = { b = y }",
     )
-    assert set(m.functions["f"].state_writes) == {("a", None), ("b", None)}
+    assert set(m.functions["f"].harvest.writes) == {("a", None), ("b", None)}
 
 
 def test_mapping_directions_both_parse():
@@ -147,7 +147,7 @@ def test_merge_duplicate_clauses_opt_in():
         merge_duplicate_clauses=True,
     )
     clause = m.execute_clauses["FOO"]
-    assert set(clause.state_writes) == {("a", None), ("b", None)}
+    assert set(clause.harvest.writes) == {("a", None), ("b", None)}
 
 
 def test_malformed_register_decl():
@@ -175,10 +175,10 @@ def test_field_access_vs_dynamic_index():
         "}\n"
     )
     fn = m.functions["f"]
-    assert ("s", "EN") in fn.state_writes and ("s", "EN") in fn.state_reads
+    assert ("s", "EN") in fn.harvest.writes and ("s", "EN") in fn.harvest.reads
     # dynamic index is whole-register access, not a field named i
-    assert ("mem", None) in fn.state_writes and ("mem", None) in fn.state_reads
-    assert ("mem", "i") not in fn.state_writes
+    assert ("mem", None) in fn.harvest.writes and ("mem", None) in fn.harvest.reads
+    assert ("mem", "i") not in fn.harvest.writes
 
 
 def test_bits_suffix_is_whole_register():
@@ -187,11 +187,11 @@ def test_bits_suffix_is_whole_register():
         "register s : S\n"
         "function clause g() = { let v = s.bits }\n"
     )
-    assert ("s", None) in m.functions["g"].state_reads
+    assert ("s", None) in m.functions["g"].harvest.reads
 
 
 def test_lvalue_call_detected():
     m = _model("function clause h(rd, v) = { X(rd) = v; let w = X(rd) }")
     fn = m.functions["h"]
-    assert "X" in fn.lvalue_callees
-    assert "X" in fn.callees
+    assert "X" in fn.harvest.lvalue_callees
+    assert "X" in fn.harvest.callees
