@@ -77,7 +77,11 @@ def parse_manifest(text: str, path: str = "<manifest>") -> SwapManifest:
                 f"expected one of {', '.join(ACTIONS)}"
             )
         provenance = parts[2] if len(parts) == 3 else ""
-        for label in expand_label_range(parts[0]):
+        try:
+            labels = expand_label_range(parts[0])
+        except MalformedLine as exc:
+            raise MalformedLine(f"{path}:{lineno}: {exc}") from None
+        for label in labels:
             if label in entries:
                 raise MalformedLine(f"{path}:{lineno}: duplicate entry for {label!r}")
             entries[label] = (action, provenance)

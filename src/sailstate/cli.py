@@ -110,16 +110,18 @@ def _write_csv(path: Path, columns, rows) -> None:
         writer.writerows(rows)
 
 
-def _reject_corpus_flags(args, saved: str) -> None:
-    """Corpus flags mean nothing when saved results stand in for the corpus."""
+def _reject_corpus_flags(args, saved: str, others: tuple[str, ...] = ()) -> None:
+    """Corpus flags, and the flags named in `others`, mean nothing when saved
+    results stand in for the analysis."""
     given = [flag for flag, on in (
         ("--corpus", args.corpus),
         ("--merge-duplicate-clauses", args.merge_duplicate_clauses),
         ("--no-include-baseline", not args.include_baseline),
+        *((f"--{name}", getattr(args, name)) for name in others),
     ) if on]
     if given:
         raise SailstateError(
-            f"{', '.join(given)} cannot be combined with {saved}: saved results replace the corpus"
+            f"{', '.join(given)} cannot be combined with {saved}: saved results replace the analysis"
         )
 
 
@@ -209,7 +211,7 @@ def cmd_validate(args) -> int:
 def cmd_audit(args) -> int:
     manifest = parse_manifest(_read_text(args.manifest, "manifest"), args.manifest)
     if args.report:
-        _reject_corpus_flags(args, "--report")
+        _reject_corpus_flags(args, "--report", ("source", "target", "insights", "states"))
         try:
             report = report_from_json(_read_text(args.report, "report"))
         except MalformedLine as exc:

@@ -21,7 +21,6 @@ from .isa_model import (
     compress_labels,
     expand_label_range,
     guards_from_harvest,
-    natural_key,
     read_csv_rows,
 )
 from .parser import Body, SailModel
@@ -57,64 +56,69 @@ class Footprint:
 EMPTY_FOOTPRINT = Footprint()
 
 
-def _bank_elements(bank: BankSpec, model: SailModel) -> list[StateRef]:
-    size = model.registers[bank.register].rtype.size or 0
-    return [StateRef(f"{bank.prefix}{i}") for i in range(size)]
+class _BankEntries(dict):
+    """(bank, tag, is_write) -> entries of every element of the bank, built on
+    first use and shared by every body of one analysis. Writes skip the
+    hardwired-zero element."""
+
+    def __init__(self, model: SailModel, backend: BackendConfig):
+        super().__init__()
+        self.model, self.backend = model, backend
+
+    def __missing__(self, key: tuple[BankSpec, str, bool]) -> frozenset[Entry]:
+        bank, tag, is_write = key
+        size = self.model.registers[bank.register].rtype.size or 0
+        refs = (StateRef(f"{bank.prefix}{i}") for i in range(size))
+        entries = frozenset(
+            (ref, tag) for ref in refs
+            if not (is_write and ref.register == self.backend.hardwired_zero)
+        )
+        self[key] = entries
+        return entries
 
 
 def _mapped_accesses(
     accesses: Iterable[tuple[str, str | None]],
-    model: SailModel,
-    backend: BackendConfig,
+    banks: _BankEntries,
     *,
     is_write: bool,
     helper_explicit: bool,
 ) -> set[Entry]:
     out: set[Entry] = set()
     for reg, fieldname in accesses:
-        bank = backend.bank_for_register(reg)
+        bank = banks.backend.bank_for_register(reg)
         if bank is not None:
             # Direct indexing into a register bank: the index is dynamic, so
             # every element is touched. Side-effect access, hence implicit.
-            for ref in _bank_elements(bank, model):
-                if is_write and ref.register == backend.hardwired_zero:
-                    continue
-                out.add((ref, TAG_IMPLICIT))
+            out |= banks[bank, TAG_IMPLICIT, is_write]
             continue
         tag = TAG_EXPLICIT if helper_explicit else TAG_IMPLICIT
         out.add((StateRef(reg, fieldname), tag))
     return out
 
 
-def direct_footprint(body: Body, model: SailModel, backend: BackendConfig) -> Footprint:
+def direct_footprint(body: Body, banks: _BankEntries) -> Footprint:
     """Footprint of one function or execute clause body, callees excluded.
 
     Accesses inside configured CSR helper bodies are explicit on the helper's
     direction; register-bank accessor calls are explicit operand access.
     """
     h = body.harvest
+    backend = banks.backend
     in_read_helper = body.name in backend.csr_read_helpers
     in_write_helper = body.name in backend.csr_write_helpers
 
-    reads = _mapped_accesses(
-        h.reads, model, backend, is_write=False, helper_explicit=in_read_helper
-    )
-    writes = _mapped_accesses(
-        h.writes, model, backend, is_write=True, helper_explicit=in_write_helper
-    )
+    reads = _mapped_accesses(h.reads, banks, is_write=False, helper_explicit=in_read_helper)
+    writes = _mapped_accesses(h.writes, banks, is_write=True, helper_explicit=in_write_helper)
 
     for callee in h.callees:
         bank = backend.bank_for_accessor(callee)
         if bank is not None:
-            reads.update((ref, TAG_EXPLICIT) for ref in _bank_elements(bank, model))
+            reads |= banks[bank, TAG_EXPLICIT, False]
     for callee in h.lvalue_callees:
         bank = backend.bank_for_accessor(callee)
         if bank is not None:
-            writes.update(
-                (ref, TAG_EXPLICIT)
-                for ref in _bank_elements(bank, model)
-                if ref.register != backend.hardwired_zero
-            )
+            writes |= banks[bank, TAG_EXPLICIT, True]
     return Footprint(frozenset(reads), frozenset(writes))
 
 
@@ -163,12 +167,13 @@ def propagate(direct: Mapping[str, tuple[object, Iterable[str]]]) -> dict[str, o
 
 
 def function_direct_footprints(
-    model: SailModel, backend: BackendConfig
+    banks: _BankEntries,
 ) -> dict[str, tuple[Footprint, frozenset[str]]]:
     """Each function's own footprint, with the callees propagation follows."""
+    model, backend = banks.model, banks.backend
     return {
         name: (
-            direct_footprint(fn, model, backend),
+            direct_footprint(fn, banks),
             _propagation_callees(fn, model, backend),
         )
         for name, fn in model.functions.items()
@@ -176,7 +181,7 @@ def function_direct_footprints(
 
 
 def function_footprints(model: SailModel, backend: BackendConfig) -> dict[str, Footprint]:
-    return propagate(function_direct_footprints(model, backend))
+    return propagate(function_direct_footprints(_BankEntries(model, backend)))
 
 
 def _baseline(resolved: Mapping[str, Footprint], backend: BackendConfig) -> Footprint:
@@ -240,41 +245,34 @@ class InstructionInsight:
     via: tuple[tuple[str, str, str, str], ...] = ()
 
 
+ViaKey = tuple[str, str, str]  # (direction r|w, tag, state label)
+
+
+def _via_keys(fp: Footprint) -> frozenset[ViaKey]:
+    return frozenset(
+        [("r", tag, ref.label) for ref, tag in fp.reads]
+        + [("w", tag, ref.label) for ref, tag in fp.writes]
+    )
+
+
 def _via_paths(
-    own: Footprint,
-    total: Footprint,
-    direct: Mapping[str, tuple[Footprint, frozenset[str]]],
+    need: frozenset[ViaKey],
+    direct_keys: Mapping[str, frozenset[ViaKey]],
+    callees_of: Mapping[str, list[str]],
     start: list[str],
-) -> dict[tuple[str, str, str], str]:
-    """Shortest call path, from the sorted callees `start`, explaining each
-    entry a callee contributed."""
-    need: dict[tuple[str, str, str], None] = {}
-    for ref, tag in sorted(total.reads - own.reads, key=lambda e: (natural_key(e[0].label), e[1])):
-        need[("r", tag, ref.label)] = None
-    for ref, tag in sorted(total.writes - own.writes, key=lambda e: (natural_key(e[0].label), e[1])):
-        need[("w", tag, ref.label)] = None
-    out: dict[tuple[str, str, str], str] = {}
-    if not need:
-        return out
+) -> dict[ViaKey, str]:
+    """Shortest call path, from the sorted callees `start`, to a function
+    whose own footprint holds each key in `need`."""
+    out: dict[ViaKey, str] = {}
     queue: deque[tuple[str, tuple[str, ...]]] = deque((n, (n,)) for n in start)
     visited: set[str] = set(start)
     while queue and need:
         name, path = queue.popleft()
-        fp = direct.get(name)
-        if fp is None:
-            continue
-        own_fp, callees = fp
-        for ref, tag in own_fp.reads:
-            key = ("r", tag, ref.label)
-            if key in need:
-                out[key] = ">".join(path)
-                del need[key]
-        for ref, tag in own_fp.writes:
-            key = ("w", tag, ref.label)
-            if key in need:
-                out[key] = ">".join(path)
-                del need[key]
-        for c in sorted(callees):
+        found = need & direct_keys[name]
+        if found:
+            out.update(dict.fromkeys(found, ">".join(path)))
+            need -= found
+        for c in callees_of[name]:
             if c not in visited:
                 visited.add(c)
                 queue.append((c, path + (c,)))
@@ -293,7 +291,8 @@ def instruction_insights(
     and once over reached externals and guards; both follow the same callee
     map. An instruction with no guard on any path runs in every mode.
     """
-    direct = function_direct_footprints(model, backend)
+    banks = _BankEntries(model, backend)
+    direct = function_direct_footprints(banks)
     resolved = propagate(direct)
     reach = propagate({
         name: (_own_reach(model.functions[name], model, backend), callees)
@@ -301,31 +300,34 @@ def instruction_insights(
     })
     baseline = _baseline(resolved, backend) if include_baseline else EMPTY_FOOTPRINT
     all_modes = frozenset(backend.mode_order)
+    # Each body's state labels are spelled out once, not once per
+    # instruction that reaches it.
+    direct_keys = {name: _via_keys(fp) for name, (fp, _) in direct.items()}
+    callees_of = {name: sorted(callees) for name, (_, callees) in direct.items()}
+    resolved_keys = {name: _via_keys(fp) for name, fp in resolved.items()}
+    baseline_keys = _via_keys(baseline)
 
     out: dict[str, InstructionInsight] = {}
     for name, clause in model.execute_clauses.items():
-        own = direct_footprint(clause, model, backend)
+        own = direct_footprint(clause, banks)
         callees = sorted(_propagation_callees(clause, model, backend))
         total = own
         closed = _own_reach(clause, model, backend)
+        own_keys = total_keys = _via_keys(own)
         for callee in callees:
             total = total.union(resolved[callee])
             closed = closed.union(reach[callee])
-        via = _via_paths(own, total, direct, callees)
+            total_keys = total_keys | resolved_keys[callee]
+        via = _via_paths(total_keys - own_keys, direct_keys, callees_of, callees)
         if include_baseline:
-            for ref, tag in baseline.reads - total.reads:
-                via.setdefault(("r", tag, ref.label), "baseline")
-            for ref, tag in baseline.writes - total.writes:
-                via.setdefault(("w", tag, ref.label), "baseline")
+            via.update(dict.fromkeys(baseline_keys - total_keys, "baseline"))
             total = total.union(baseline)
         out[name] = InstructionInsight(
             instruction=name,
             privileges=all_modes if closed.guards is None else closed.guards,
             footprint=total,
             externals=closed.externals,
-            via=tuple(sorted(
-                (d, t, lab, path) for (d, t, lab), path in via.items()
-            )),
+            via=tuple(sorted(key + (path,) for key, path in via.items())),
         )
     return out
 
@@ -349,20 +351,36 @@ def _entry_cell(entries: frozenset[Entry], tag: str) -> str:
     return " ".join(compress_labels(labels))
 
 
-def _via_cell(via: tuple[tuple[str, str, str, str], ...]) -> str:
+def _via_cell(
+    via: tuple[tuple[str, str, str, str], ...], compressed: dict[tuple[str, ...], str]
+) -> str:
     groups: dict[tuple[str, str, str], list[str]] = {}
     for direction, tag, label, path in via:
         groups.setdefault((direction, tag, path), []).append(label)
     parts = []
     for (direction, tag, path), labels in sorted(groups.items()):
         marker = "~" if tag == TAG_IMPLICIT else ""
-        parts.append(f"{direction}{marker}[{path}]={','.join(compress_labels(labels))}")
+        key = tuple(labels)
+        if key not in compressed:
+            compressed[key] = ",".join(compress_labels(labels))
+        parts.append(f"{direction}{marker}[{path}]={compressed[key]}")
     return "; ".join(parts)
 
 
 def insight_rows(
     insights: Mapping[str, InstructionInsight], backend: BackendConfig
 ) -> list[dict[str, str]]:
+    # Rows repeat cells (every instruction carries the baseline) and `via`
+    # label groups, so each distinct one is compressed once per call.
+    cells: dict[tuple[frozenset[Entry], str], str] = {}
+    via_labels: dict[tuple[str, ...], str] = {}
+
+    def cell(entries: frozenset[Entry], tag: str) -> str:
+        key = (entries, tag)
+        if key not in cells:
+            cells[key] = _entry_cell(entries, tag)
+        return cells[key]
+
     rows = []
     for name in sorted(insights):
         ins = insights[name]
@@ -370,12 +388,12 @@ def insight_rows(
         rows.append({
             "instruction": name,
             "privileges": privs,
-            "explicit_reads": _entry_cell(ins.footprint.reads, TAG_EXPLICIT),
-            "implicit_reads": _entry_cell(ins.footprint.reads, TAG_IMPLICIT),
-            "explicit_writes": _entry_cell(ins.footprint.writes, TAG_EXPLICIT),
-            "implicit_writes": _entry_cell(ins.footprint.writes, TAG_IMPLICIT),
+            "explicit_reads": cell(ins.footprint.reads, TAG_EXPLICIT),
+            "implicit_reads": cell(ins.footprint.reads, TAG_IMPLICIT),
+            "explicit_writes": cell(ins.footprint.writes, TAG_EXPLICIT),
+            "implicit_writes": cell(ins.footprint.writes, TAG_IMPLICIT),
             "externals": " ".join(sorted(ins.externals)),
-            "via": _via_cell(ins.via),
+            "via": _via_cell(ins.via, via_labels),
         })
     return rows
 
@@ -412,13 +430,17 @@ def load_insights_csv(
         name, privs, er, ir, ew, iw, externals, _via = row
         if name in insights:
             raise MalformedLine(f"{path}:{lineno}: duplicate instruction {name!r}")
+        try:
+            footprint = Footprint(
+                reads=entries(er, TAG_EXPLICIT) | entries(ir, TAG_IMPLICIT),
+                writes=entries(ew, TAG_EXPLICIT) | entries(iw, TAG_IMPLICIT),
+            )
+        except MalformedLine as exc:
+            raise MalformedLine(f"{path}:{lineno}: {exc}") from None
         insights[name] = InstructionInsight(
             instruction=name,
             privileges=frozenset(privs.split()),
-            footprint=Footprint(
-                reads=entries(er, TAG_EXPLICIT) | entries(ir, TAG_IMPLICIT),
-                writes=entries(ew, TAG_EXPLICIT) | entries(iw, TAG_IMPLICIT),
-            ),
+            footprint=footprint,
             externals=frozenset(externals.split()),
         )
     return insights

@@ -400,14 +400,28 @@ _RANGE_RE = re.compile(r"^([A-Za-z_][\w.]*?)(\d+)\.\.([A-Za-z_][\w.]*?)(\d+)$")
 _SUFFIX_RE = re.compile(r"^([A-Za-z_][\w.]*?)(\d+)$")
 
 
+MAX_LABEL_RANGE = 4096  # labels one range may expand to
+
+
 def expand_label_range(text: str) -> list[str]:
-    """Expand 'f0..f31' to [f0, f1, ..., f31]; a plain label passes through."""
+    """Expand 'f0..f31' to [f0, f1, ..., f31]; a plain label passes through.
+
+    Ranges come from input files, so one wider than MAX_LABEL_RANGE labels, or
+    with an index too long for int(), raises MalformedLine."""
     m = _RANGE_RE.match(text)
     if m is None:
         return [text]
-    prefix_a, lo, prefix_b, hi = m.group(1), int(m.group(2)), m.group(3), int(m.group(4))
+    prefix_a, prefix_b = m.group(1), m.group(3)
+    try:
+        lo, hi = int(m.group(2)), int(m.group(4))
+    except ValueError:
+        raise MalformedLine(f"label range {text[:40]}... has an index too long") from None
     if prefix_a != prefix_b or hi < lo:
         return [text]
+    if hi - lo >= MAX_LABEL_RANGE:
+        raise MalformedLine(
+            f"label range {text!r} spans {hi - lo + 1} labels, more than {MAX_LABEL_RANGE}"
+        )
     return [f"{prefix_a}{i}" for i in range(lo, hi + 1)]
 
 

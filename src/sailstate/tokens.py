@@ -7,7 +7,7 @@ all tokens plus the skipped whitespace reproduces the input byte for byte.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import UnterminatedComment, UnterminatedStringLiteral
 
@@ -24,25 +24,28 @@ _OPERATORS = [
     "=", "<", ">", "+", "-", "*", "/", "&", "|", "^", "@", "~", "!",
 ]
 
+# One alternation, tried in order at each position: whitespace and comments
+# first, then the tokens, each group named after its token kind, then an
+# unterminated string opener and any other single character. Only
+# whitespace and comments can span a newline; strings exclude `\n`.
 _TOKEN_RE = re.compile(
-    r"""(?P<string>"(?:[^"\\\n]|\\.)*")
-      | (?P<hex>0x[0-9a-fA-F_]+)
-      | (?P<bin>0b[01_]+)
-      | (?P<num>\d+)
-      | (?P<ident>'?[A-Za-z_][A-Za-z0-9_']*)
-      | (?P<op>%s)
-      | (?P<punct>[()\[\]{},;:.$\#?`])
+    r"""(?P<ws>[ \t\r\n]+)
+      | (?P<comment>//[^\n]*)
+      | (?P<block_comment>/\*)
+      | (?P<literal>"(?:[^"\\\n]|\\.)*" | 0x[0-9a-fA-F_]+ | 0b[01_]+ | \d+)
+      | (?P<identifier>'?[A-Za-z_][A-Za-z0-9_']*)
+      | (?P<operator>%s)
+      | (?P<punctuation>[()\[\]{},;:.$\#?`])
+      | (?P<open_string>")
+      | (?P<other>[\s\S])
     """ % "|".join(re.escape(op) for op in _OPERATORS),
     re.VERBOSE,
 )
 
-_WS_RE = re.compile(r"[ \t\r\n]+")
-
 COMPARISON_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # keyword | identifier | operator | literal | comment | punctuation
     text: str
     path: str
@@ -58,83 +61,64 @@ class Token:
         return f"Token({self.kind} {self.text!r} @{self.line}:{self.col})"
 
 
+def _block_comment_end(text: str, start: int) -> int:
+    """Offset just past the block comment opened at `start`, or -1 when it
+    never closes. Block comments nest."""
+    depth = 1
+    i = start + 2
+    while depth > 0:
+        nxt_open = text.find("/*", i)
+        nxt_close = text.find("*/", i)
+        if nxt_close < 0:
+            return -1
+        if 0 <= nxt_open < nxt_close:
+            depth += 1
+            i = nxt_open + 2
+        else:
+            depth -= 1
+            i = nxt_close + 2
+    return i
+
+
 def tokenize(text: str, path: str = "<string>") -> list[Token]:
     """Tokenize Sail source. Raises on unterminated comments or strings."""
     tokens: list[Token] = []
+    append = tokens.append
+    new_token = tuple.__new__  # Token's own __new__ costs a Python call
+    match = _TOKEN_RE.match
     pos = 0
     line = 1
-    line_start = 0
+    line_start = 0  # offset of the first character of `line`
     n = len(text)
-
-    def here() -> tuple[int, int]:
-        return line, pos - line_start + 1
-
-    def advance_over(s: str) -> None:
-        nonlocal line, line_start
-        idx = 0
-        while True:
-            nl = s.find("\n", idx)
-            if nl < 0:
-                break
-            line += 1
-            line_start = pos + nl + 1
-            idx = nl + 1
-
     while pos < n:
-        ws = _WS_RE.match(text, pos)
-        if ws:
-            advance_over(ws.group(0))
-            pos = ws.end()
-            continue
-        ln, col = here()
-        if text.startswith("//", pos):
-            end = text.find("\n", pos)
-            if end < 0:
-                end = n
-            tokens.append(Token("comment", text[pos:end], path, ln, col, pos))
+        m = match(text, pos)
+        kind = m.lastgroup
+        end = m.end()
+        if kind == "ws" or kind == "block_comment":
+            if kind == "block_comment":
+                end = _block_comment_end(text, pos)
+                col = pos - line_start + 1
+                if end < 0:
+                    raise UnterminatedComment("unterminated block comment", path, line, col)
+                append(new_token(Token, ("comment", text[pos:end], path, line, col, pos)))
+            newlines = text.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", pos, end) + 1
             pos = end
             continue
-        if text.startswith("/*", pos):
-            # Block comments nest.
-            depth = 1
-            i = pos + 2
-            while depth > 0:
-                nxt_open = text.find("/*", i)
-                nxt_close = text.find("*/", i)
-                if nxt_close < 0:
-                    raise UnterminatedComment("unterminated block comment", path, ln, col)
-                if 0 <= nxt_open < nxt_close:
-                    depth += 1
-                    i = nxt_open + 2
-                else:
-                    depth -= 1
-                    i = nxt_close + 2
-            raw = text[pos:i]
-            tokens.append(Token("comment", raw, path, ln, col, pos))
-            advance_over(raw)
-            pos = i
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos] == '"':
-                raise UnterminatedStringLiteral("unterminated string literal", path, ln, col)
-            # Unknown byte: keep totality, emit it as a one-char operator.
-            tokens.append(Token("operator", text[pos], path, ln, col, pos))
-            pos += 1
-            continue
-        kind = m.lastgroup
-        raw = m.group(0)
-        if kind == "ident":
-            tok_kind = "keyword" if raw in KEYWORDS else "identifier"
-        elif kind in ("string", "hex", "bin", "num"):
-            tok_kind = "literal"
-        elif kind == "op":
-            tok_kind = "operator"
-        else:
-            tok_kind = "punctuation"
-        tokens.append(Token(tok_kind, raw, path, ln, col, pos))
-        advance_over(raw)
-        pos = m.end()
+        if kind == "open_string":
+            raise UnterminatedStringLiteral(
+                "unterminated string literal", path, line, pos - line_start + 1
+            )
+        raw = m.group()
+        if kind == "identifier":
+            if raw in KEYWORDS:
+                kind = "keyword"
+        elif kind == "other":
+            kind = "operator"  # an unknown byte; tokenizing stays total
+        append(new_token(Token, (kind, raw, path, line, pos - line_start + 1, pos)))
+        pos = end
     return tokens
 
 

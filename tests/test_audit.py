@@ -80,6 +80,11 @@ def test_parse_manifest_rejects_bad_rows():
         parse_manifest(_manifest("f0..f3, swap\nf2, clear\n"))
 
 
+def test_parse_manifest_bounds_label_ranges():
+    with pytest.raises(MalformedLine, match=r"^m\.csv:2: label range 'x0\.\.x1000000' spans"):
+        parse_manifest(_manifest("x0..x1000000, swap\n"), "m.csv")
+
+
 def test_action_for_field_falls_back_to_register_entry():
     m = parse_manifest(_manifest("mstatus, swap, fw\n"))
     assert m.action_for("mstatus.MPRV") == (ACTION_SWAP, "fw", True)

@@ -264,16 +264,43 @@ BAD_LITERAL_CORPORA = {
 }
 
 
+# Flags that a saved --report makes meaningless; missing files would go unread.
+FLAGS_IGNORED_BY_REPORT = {
+    "report_with_source": ["--source", "Machine"],
+    "report_with_target": ["--target", "User"],
+    "report_with_insights": ["--insights", "gone.csv"],
+    "report_with_states": ["--states", "gone.csv"],
+}
+
+
 def _bad_input_argv(case, tmp_path):
     """Arguments that feed `case`'s broken input file to the CLI."""
     if case in BAD_LITERAL_CORPORA:
         src = tmp_path / "bad.sail"
         src.write_text(BAD_LITERAL_CORPORA[case])
         return ["scan", "--corpus", str(src)]
+    if case == "manifest_range_too_wide":
+        manifest = tmp_path / "wide.csv"
+        manifest.write_text("@pair, Supervisor, Supervisor\nx0..x1000000, swap\n")
+        return ["audit", "--manifest", str(manifest),
+                "--source", "Supervisor", "--target", "Supervisor"]
     scan = tmp_path / "scan"
     main(["scan", "--out", str(scan)])
     states = scan / "states.csv"
     komodo = str(AUDITS / "komodo.csv")
+    if case in FLAGS_IGNORED_BY_REPORT:
+        main(["classify", "--source", "Supervisor", "--target", "Supervisor",
+              "--format", "json", "--out", str(scan)])
+        return ["audit", "--manifest", komodo, "--report", str(scan / "sensitivity.json"),
+                *FLAGS_IGNORED_BY_REPORT[case]]
+    if case == "insights_range_too_wide":
+        insights = scan / "insights.csv"
+        rows = insights.read_text().splitlines()
+        name, privileges, _explicit_reads, *rest = rows[3].split(",", 3)
+        rows[3] = ",".join([name, privileges, "x0..x1000000", *rest])
+        insights.write_text("\n".join(rows) + "\n")
+        return ["classify", "--source", "Machine", "--target", "User",
+                "--insights", str(insights), "--states", str(states)]
     if case == "missing_manifest":
         return ["audit", "--manifest", str(tmp_path / "gone.csv"),
                 "--source", "Supervisor", "--target", "Supervisor"]
@@ -320,6 +347,9 @@ def _bad_input_argv(case, tmp_path):
     "trace_not_utf8",
     "states_width_not_integer",
     "states_address_not_hex",
+    "manifest_range_too_wide",
+    "insights_range_too_wide",
+    *FLAGS_IGNORED_BY_REPORT,
     *BAD_LITERAL_CORPORA,
 ])
 def test_bad_input_files_exit_one_without_traceback(tmp_path, case):
@@ -336,3 +366,9 @@ def test_bad_input_files_exit_one_without_traceback(tmp_path, case):
         assert "states.csv:2:" in proc.stderr
     if case in BAD_LITERAL_CORPORA:
         assert "bad.sail:1:" in proc.stderr
+    if case == "manifest_range_too_wide":
+        assert "wide.csv:2: label range 'x0..x1000000'" in proc.stderr
+    if case == "insights_range_too_wide":
+        assert "insights.csv:4: label range 'x0..x1000000'" in proc.stderr
+    if case in FLAGS_IGNORED_BY_REPORT:
+        assert f"{FLAGS_IGNORED_BY_REPORT[case][0]} cannot be combined with --report" in proc.stderr

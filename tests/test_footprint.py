@@ -2,11 +2,13 @@ import csv
 import dataclasses
 import io
 import random
+import re
+from pathlib import Path
 
 import pytest
 
-from sailstate.backend import default_backend, load_backend
-from sailstate.errors import MissingEntryFunction
+from sailstate.backend import bundled_corpus_dir, default_backend, load_backend
+from sailstate.errors import MalformedLine, MissingEntryFunction
 from sailstate.footprint import (
     EMPTY_FOOTPRINT,
     INSIGHTS_COLUMNS,
@@ -21,7 +23,7 @@ from sailstate.footprint import (
     load_insights_csv,
     propagate,
 )
-from sailstate.isa_model import StateRef, guards_from_harvest, natural_key
+from sailstate.isa_model import StateRef, compress_labels, guards_from_harvest, natural_key
 from sailstate.parser import Body, Harvest, merge_units, parse_corpus, parse_unit
 from sailstate.tokens import tokenize
 
@@ -398,16 +400,20 @@ def _assert_insights_round_trip(want, backend):
         assert back.externals == ins.externals, instr
 
 
+def _corpus(name, corpus_paths):
+    """Backend and source paths of the bundled model or a fixture corpus."""
+    if name == "bundled":
+        return default_backend(), corpus_paths
+    d = FIXTURES / "corpora" / name
+    ini = d / "backend.ini"
+    backend = load_backend(str(ini)) if ini.exists() else default_backend()
+    return backend, sorted(d.glob("*.sail"))
+
+
 @pytest.mark.parametrize("name", ["bundled", "bug_mem", "guards", "hyper", "perm"])
 @pytest.mark.parametrize("include_baseline", [True, False])
 def test_insights_csv_round_trip(name, include_baseline, corpus_paths):
-    if name == "bundled":
-        backend, paths = default_backend(), corpus_paths
-    else:
-        d = FIXTURES / "corpora" / name
-        ini = d / "backend.ini"
-        backend = load_backend(str(ini)) if ini.exists() else default_backend()
-        paths = sorted(d.glob("*.sail"))
+    backend, paths = _corpus(name, corpus_paths)
     want = instruction_insights(
         parse_corpus(paths), backend, include_baseline=include_baseline
     )
@@ -425,3 +431,94 @@ def test_insights_csv_round_trip_keeps_tags_of_equal_cells():
         "B": InstructionInsight("B", modes, _fp(reads=[("mepc", TAG_IMPLICIT)]), frozenset()),
     }
     _assert_insights_round_trip(want, default_backend())
+
+
+def test_insights_csv_names_the_line_of_a_too_wide_range():
+    row = ["A", "Machine", "x0..x1000000", "", "", "", "", ""]
+    text = ",".join(INSIGHTS_COLUMNS) + "\n" + ",".join(row) + "\n"
+    with pytest.raises(MalformedLine, match=r"^i\.csv:2: label range 'x0\.\.x1000000' spans"):
+        load_insights_csv(text, "i.csv")
+
+
+# -- insight_rows against an unmemoised writer ---------------------------------
+
+def _reference_rows(insights, backend):
+    """insight_rows written out cell by cell, with nothing shared between rows."""
+    def entry_cell(entries, tag):
+        return " ".join(compress_labels([r.label for r, t in entries if t == tag]))
+
+    rows = []
+    for name in sorted(insights):
+        ins = insights[name]
+        groups = {}
+        for direction, tag, label, path in ins.via:
+            groups.setdefault((direction, tag, path), []).append(label)
+        via = "; ".join(
+            f"{d}{'~' if t == TAG_IMPLICIT else ''}[{p}]={','.join(compress_labels(labels))}"
+            for (d, t, p), labels in sorted(groups.items())
+        )
+        rows.append({
+            "instruction": name,
+            "privileges": " ".join(m for m in backend.mode_order if m in ins.privileges),
+            "explicit_reads": entry_cell(ins.footprint.reads, TAG_EXPLICIT),
+            "implicit_reads": entry_cell(ins.footprint.reads, TAG_IMPLICIT),
+            "explicit_writes": entry_cell(ins.footprint.writes, TAG_EXPLICIT),
+            "implicit_writes": entry_cell(ins.footprint.writes, TAG_IMPLICIT),
+            "externals": " ".join(sorted(ins.externals)),
+            "via": via,
+        })
+    return rows
+
+
+def _insts_copied(tmp_path, copies=3):
+    """The bundled model with each insts_*.sail file copied `copies` times.
+
+    Each copy renames the clauses and functions it defines, so the copies
+    share the rest of the function graph and repeat its cells."""
+    out = tmp_path / "insts_copied"
+    out.mkdir()
+    for path in sorted(Path(bundled_corpus_dir()).glob("*.sail")):
+        text = path.read_text(encoding="utf-8")
+        if not path.name.startswith("insts_"):
+            (out / path.name).write_text(text, encoding="utf-8")
+            continue
+        defined = re.findall(r"^function (?:clause execute )?(\w+)", text, re.MULTILINE)
+        pattern = re.compile(r"\b(%s)\b" % "|".join(defined))
+        for k in range(copies):
+            copy = pattern.sub(lambda m: f"{m.group(1)}_c{k}", text)
+            (out / f"{path.stem}_c{k}.sail").write_text(copy, encoding="utf-8")
+    return sorted(out.glob("*.sail"))
+
+
+@pytest.mark.parametrize("name", ["bundled", "bug_mem", "guards", "hyper", "perm", "insts_copied"])
+@pytest.mark.parametrize("include_baseline", [True, False])
+def test_insight_rows_match_unmemoised_writer(name, include_baseline, corpus_paths, tmp_path):
+    if name == "insts_copied":
+        backend, paths = default_backend(), _insts_copied(tmp_path)
+    else:
+        backend, paths = _corpus(name, corpus_paths)
+    insights = instruction_insights(
+        parse_corpus(paths), backend, include_baseline=include_baseline
+    )
+    if name == "insts_copied":
+        assert len(insights) == 3 * 19  # every bundled instruction, three times
+    assert insight_rows(insights, backend) == _reference_rows(insights, backend)
+
+
+def test_insight_rows_keep_tags_and_paths_of_equal_label_sets():
+    modes = frozenset({"Machine"})
+    x = [("x1", TAG_EXPLICIT), ("x2", TAG_EXPLICIT)]
+    i = [("x1", TAG_IMPLICIT), ("x2", TAG_IMPLICIT)]
+    want = {
+        "A": InstructionInsight("A", modes, _fp(reads=x, writes=i), frozenset(),
+                                (("r", TAG_EXPLICIT, "x1", "f"), ("r", TAG_EXPLICIT, "x2", "f"))),
+        "B": InstructionInsight("B", modes, _fp(reads=i, writes=x), frozenset(),
+                                (("r", TAG_IMPLICIT, "x1", "g"), ("r", TAG_IMPLICIT, "x2", "g"))),
+        "C": InstructionInsight("C", modes, _fp(reads=x + i), frozenset(),
+                                (("w", TAG_IMPLICIT, "x1", "g"), ("w", TAG_EXPLICIT, "x2", "g"))),
+    }
+    backend = default_backend()
+    rows = insight_rows(want, backend)
+    assert rows == _reference_rows(want, backend)
+    assert [r["implicit_reads"] for r in rows] == ["", "x1..x2", "x1..x2"]
+    assert [r["via"] for r in rows] == ["r[f]=x1..x2", "r~[g]=x1..x2", "w[g]=x2; w~[g]=x1"]

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sailstate.backend import load_backend
-from sailstate.errors import UnknownCsrAddress, UnknownState
+from sailstate.errors import MalformedLine, UnknownCsrAddress, UnknownState
 from sailstate.footprint import instruction_insights
 from sailstate.isa_model import (
     DEFAULT_PERMISSION_RULE,
+    MAX_LABEL_RANGE,
     StateEntry,
     StateRef,
     StateTable,
@@ -247,6 +248,20 @@ def test_range_expansion():
     assert expand_label_range("f0..f3") == ["f0", "f1", "f2", "f3"]
     assert expand_label_range("mepc") == ["mepc"]
     assert expand_label_range("f3..f1") == ["f3..f1"]  # nonsense passes through
+
+
+@pytest.mark.parametrize("shipped", ["x0..x31", "v0..v31", "f0..f31"])
+def test_shipped_ranges_expand(shipped):
+    prefix = shipped[0]
+    assert expand_label_range(shipped) == [f"{prefix}{i}" for i in range(32)]
+
+
+def test_range_expansion_is_bounded():
+    assert len(expand_label_range(f"x0..x{MAX_LABEL_RANGE - 1}")) == MAX_LABEL_RANGE
+    assert len(expand_label_range("x7..x4102")) == MAX_LABEL_RANGE
+    for text in (f"x0..x{MAX_LABEL_RANGE}", "x0..x1000000", "x0..x" + "9" * 5000):
+        with pytest.raises(MalformedLine, match="label range"):
+            expand_label_range(text)
 
 
 def test_compression():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sailstate.errors import UnterminatedComment, UnterminatedStringLiteral
 from sailstate.tokens import COMPARISON_OPS, KEYWORDS, reconstruct, significant, tokenize
@@ -87,3 +87,50 @@ _word = st.one_of(
 def test_reconstruct_round_trips_generated(words, sep):
     text = sep.join(words)
     assert reconstruct(text, tokenize(text)) == text
+
+
+# -- position oracle ---------------------------------------------------------
+
+_piece = st.one_of(
+    _word,
+    st.sampled_from([
+        "'a", "x.y", "0x_F", "0b1_0", "<<", "=>", "$", "#", "?", "`", "%", "\x0b", "é",
+        r'"esc \\ \" q"', '""', "// line comment\n", "//\n",
+        "/* one\nline */", "/*\n\n*/", "/* a /* b\n c */ d\n */", "/**/", "/* ** / * */",
+    ]),
+)
+_gap = st.sampled_from(["", " ", "\n", "\t", "\r\n", "  \n\n  ", "\n\t"])
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.lists(st.tuples(_piece, _gap), max_size=40))
+def test_token_positions_match_the_text(parts):
+    text = "".join(piece + gap for piece, gap in parts)
+    tokens = tokenize(text, "p.sail")
+    assert reconstruct(text, tokens) == text
+    for tok in tokens:
+        assert text[tok.offset:tok.offset + len(tok.text)] == tok.text
+        assert tok.line == text.count("\n", 0, tok.offset) + 1
+        assert tok.col == tok.offset - text.rfind("\n", 0, tok.offset)
+        assert tok.path == "p.sail"
+
+
+def test_tokens_are_immutable_hashable_tuples():
+    tok = tokenize("mepc")[0]
+    assert tok == ("identifier", "mepc", "<string>", 1, 1, 0)
+    assert {tok: 1}[tokenize("mepc")[0]] == 1
+    with pytest.raises(AttributeError):
+        tok.line = 2
+    with pytest.raises(AttributeError):
+        tok.extra = 1
+
+
+@pytest.mark.parametrize("text, error, where", [
+    ("a\n  b /* open /* nested */\n", UnterminatedComment, ("p.sail", 2, 5)),
+    ("/* ok\n */ x = \"open\n", UnterminatedStringLiteral, ("p.sail", 2, 9)),
+])
+def test_unterminated_literals_name_their_start(text, error, where):
+    with pytest.raises(error) as info:
+        tokenize(text, "p.sail")
+    assert (info.value.path, info.value.line, info.value.col) == where
+    assert str(info.value).startswith("%s:%d:%d: " % where)
