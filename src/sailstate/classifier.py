@@ -232,9 +232,6 @@ class SensitivityReport:
     def sensitive_count(self) -> int:
         return sum(1 for s in self.results if s.sensitive)
 
-    def sensitive_labels(self) -> frozenset[str]:
-        return frozenset(s.state for s in self.results if s.sensitive)
-
     def by_state(self) -> dict[str, Sensitivity]:
         return {s.state: s for s in self.results}
 

@@ -239,19 +239,18 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub: argparse.ArgumentParser, *, corpus: bool = True) -> None:
-    if corpus:
-        sub.add_argument(
-            "--corpus",
-            nargs="+",
-            metavar="PATH",
-            help="source files or directories (default: bundled model)",
-        )
-        sub.add_argument(
-            "--merge-duplicate-clauses",
-            action="store_true",
-            help="union repeated execute clauses instead of rejecting them",
-        )
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--corpus",
+        nargs="+",
+        metavar="PATH",
+        help="source files or directories (default: bundled model)",
+    )
+    sub.add_argument(
+        "--merge-duplicate-clauses",
+        action="store_true",
+        help="union repeated execute clauses instead of rejecting them",
+    )
     sub.add_argument(
         "--backend",
         default=bundled_backend_path(),

@@ -35,9 +35,19 @@ class StateRef:
         return StateRef(reg, fieldname or None)
 
 
+_DIGIT_RUN = re.compile(r"([0-9]+)")
+
+
 def natural_key(label: str):
-    """Sort key that orders x2 before x10."""
-    return tuple(int(p) if p.isdigit() else p for p in re.split(r"(\d+)", label))
+    """Sort key that orders x2 before x10.
+
+    A run of ASCII digits compares by value as (length, digits) without its
+    leading zeros, so it needs no int() and any label has a key."""
+    parts: list = _DIGIT_RUN.split(label)
+    for i in range(1, len(parts), 2):
+        digits = parts[i].lstrip("0")
+        parts[i] = (len(digits), digits)
+    return tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -396,8 +406,8 @@ def guards_from_harvest(harvest: Harvest, backend: BackendConfig) -> frozenset[s
 
 # -- label range helpers ---------------------------------------------------
 
-_RANGE_RE = re.compile(r"^([A-Za-z_][\w.]*?)(\d+)\.\.([A-Za-z_][\w.]*?)(\d+)$")
-_SUFFIX_RE = re.compile(r"^([A-Za-z_][\w.]*?)(\d+)$")
+_RANGE_RE = re.compile(r"^([A-Za-z_][\w.]*?)([0-9]+)\.\.([A-Za-z_][\w.]*?)([0-9]+)$")
+_SUFFIX_RE = re.compile(r"^([A-Za-z_][\w.]*?)([0-9]+)$")
 
 
 MAX_LABEL_RANGE = 4096  # labels one range may expand to
@@ -425,6 +435,13 @@ def expand_label_range(text: str) -> list[str]:
     return [f"{prefix_a}{i}" for i in range(lo, hi + 1)]
 
 
+def _successor(digits: str) -> str:
+    """The decimal string one above `digits`, which has no leading zeros."""
+    stem = digits.rstrip("9")
+    zeros = "0" * (len(digits) - len(stem))
+    return stem[:-1] + chr(ord(stem[-1]) + 1) + zeros if stem else "1" + zeros
+
+
 def compress_labels(labels) -> list[str]:
     """Collapse runs of consecutive numeric-suffix labels into 'x0..x31'."""
     ordered = sorted(set(labels), key=natural_key)
@@ -436,14 +453,15 @@ def compress_labels(labels) -> list[str]:
             out.append(ordered[i])
             i += 1
             continue
-        prefix, start = m.group(1), int(m.group(2))
+        prefix, start = m.group(1), m.group(2).lstrip("0") or "0"
         j = i
         cur = start
         while j + 1 < len(ordered):
             m2 = _SUFFIX_RE.match(ordered[j + 1])
-            if m2 is None or m2.group(1) != prefix or int(m2.group(2)) != cur + 1:
+            nxt = _successor(cur)
+            if m2 is None or m2.group(1) != prefix or m2.group(2).lstrip("0") != nxt:
                 break
-            cur += 1
+            cur = nxt
             j += 1
         if j > i:
             out.append(f"{prefix}{start}..{prefix}{cur}")

@@ -122,18 +122,6 @@ def tokenize(text: str, path: str = "<string>") -> list[Token]:
     return tokens
 
 
-def reconstruct(text: str, tokens: list[Token]) -> str:
-    """Rebuild the source from tokens plus the whitespace between them."""
-    out: list[str] = []
-    prev_end = 0
-    for tok in tokens:
-        out.append(text[prev_end:tok.offset])
-        out.append(tok.text)
-        prev_end = tok.offset + len(tok.text)
-    out.append(text[prev_end:])
-    return "".join(out)
-
-
 def significant(tokens: list[Token]) -> list[Token]:
     """Drop comment tokens; analysis never looks inside them."""
     return [t for t in tokens if t.kind != "comment"]

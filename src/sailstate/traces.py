@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -26,73 +27,64 @@ from .isa_model import StateRef, StateTable, natural_key
 
 # -- S-expression reader -----------------------------------------------------
 
+# Token alternatives, tried in order: whitespace (only these four characters;
+# \x0b is an atom character), a ; comment, a paren, a |symbol|, a "string"
+# with \ escapes, an atom, and an unclosed | or " that takes the rest of the
+# text, so that one failed scan ends the reading.
+_QUOTED = r'\|[^|]*\||"(?:[^"\\]|\\.)*"'
+_SEXPR_TOKEN = re.compile(
+    r'[ \t\r\n]+|;[^\n]*|[()]|' + _QUOTED + r'|[^ \t\r\n();"|]+|[|"].*', re.DOTALL
+)
+_CLOSED = re.compile(_QUOTED, re.DOTALL)
+_BLANK = " \t\r\n;"
 
-@dataclass(frozen=True)
-class _Atom:
-    text: str
-    line: int
+
+def _line(text: str, tokens: list[str], i: int) -> int:
+    """Line of token i; the tokens cover the text, so it starts where the others end."""
+    return text.count("\n", 0, sum(map(len, tokens[:i]))) + 1
 
 
-def _tokenize_sexpr(text: str, path: str):
-    line = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            yield (c, c, line)
-            i += 1
-        elif c == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise MalformedSExpression("unterminated |...| symbol", path, line)
-            yield ("atom", text[i + 1 : j], line)
-            line += text.count("\n", i, j)
-            i = j + 1
-        elif c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 2 if text[j] == "\\" else 1
-            if j >= n:
-                raise MalformedSExpression("unterminated string", path, line)
-            yield ("atom", text[i : j + 1], line)
-            line += text.count("\n", i, j)
-            i = j + 1
-        else:
-            j = i
-            while j < n and text[j] not in ' \t\r\n();"|':
-                j += 1
-            yield ("atom", text[i:j], line)
-            i = j
+def _opening(tokens: list[str], forms: list, form: list) -> int:
+    """Index of the '(' token that opens `form`: lists open in pre-order."""
+    stack = list(reversed(forms))
+    k = 0
+    while (item := stack.pop()) is not form:
+        if isinstance(item, list):
+            k += 1
+            stack.extend(reversed(item))
+    return [i for i, tok in enumerate(tokens) if tok == "("][k]
 
 
 def parse_sexprs(text: str, path: str = "<trace>") -> list:
-    """All top-level forms; lists nest as Python lists, atoms keep lines."""
-    stack: list[list] = []
+    """All top-level forms; lists nest as Python lists, atoms are str.
+
+    A |symbol| loses its bars and a "string" keeps its quotes."""
+    tokens = _SEXPR_TOKEN.findall(text)
+    closed = not tokens or tokens[-1][0] not in '|"' or _CLOSED.fullmatch(tokens[-1])
+    unclosed = "" if closed else tokens.pop()
     top: list = []
-    open_lines: list[int] = []
-    for kind, tok, line in _tokenize_sexpr(text, path):
-        if kind == "(":
-            stack.append([])
-            open_lines.append(line)
-        elif kind == ")":
-            if not stack:
-                raise MalformedSExpression("unmatched ')'", path, line)
-            done = stack.pop()
-            open_lines.pop()
-            (stack[-1] if stack else top).append(done)
-        else:
-            (stack[-1] if stack else top).append(_Atom(tok, line))
-    if stack:
-        raise MalformedSExpression("unclosed '('", path, open_lines[-1])
+    stack = [top]
+    for i, tok in enumerate(tokens):
+        c = tok[0]
+        if c == "(":
+            form: list = []
+            stack[-1].append(form)
+            stack.append(form)
+        elif c == ")":
+            if len(stack) == 1:
+                raise MalformedSExpression("unmatched ')'", path, _line(text, tokens, i))
+            stack.pop()
+        elif c == "|":
+            stack[-1].append(tok[1:-1])
+        elif c not in _BLANK:
+            stack[-1].append(tok)
+    if unclosed:
+        what = "unterminated |...| symbol" if unclosed[0] == "|" else "unterminated string"
+        raise MalformedSExpression(what, path, _line(text, tokens, len(tokens)))
+    if len(stack) > 1:
+        raise MalformedSExpression(
+            "unclosed '('", path, _line(text, tokens, _opening(tokens, top, stack[-1]))
+        )
     return top
 
 
@@ -121,49 +113,49 @@ class TraceBundle:
 def _field_path(args) -> tuple[str, ...]:
     """Field names from nested (field |F| ...) forms, outermost first."""
     path: list[str] = []
-    work = list(args)
-    while work:
-        item = work.pop(0)
-        if isinstance(item, list) and item and isinstance(item[0], _Atom) and item[0].text == "field":
-            names = [a.text for a in item[1:] if isinstance(a, _Atom)]
-            if names:
-                path.append(names[0])
-            work = [x for x in item[1:] if isinstance(x, list)] + work
+    stack = list(reversed(args))
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list) and item and item[0] == "field":
+            path.extend([a for a in item[1:] if isinstance(a, str)][:1])  # first atom
+            stack.extend(reversed(item[1:]))
     return tuple(path)
 
 
-def parse_trace(
-    text: str,
-    path: str = "<trace>",
-    *,
-    instruction: str = "",
-    group: str | None = None,
-) -> TraceBundle:
-    """Extract the register read and write events, in file order."""
+def _trace_events(text: str, path: str) -> tuple[TraceEvent, ...]:
+    forms = parse_sexprs(text, path)
     events: list[TraceEvent] = []
-    stack = list(reversed(parse_sexprs(text, path)))
+    stack = list(reversed(forms))
     while stack:
         form = stack.pop()
         if not isinstance(form, list) or not form:
             continue
         head = form[0]
-        if not isinstance(head, _Atom):
+        if isinstance(head, list):
             stack.extend(reversed(form))
-        elif head.text in ("read-reg", "write-reg"):
-            reg_atoms = [a for a in form[1:] if isinstance(a, _Atom)]
-            if not reg_atoms:
+        elif head in ("read-reg", "write-reg"):
+            register = next((a for a in form[1:] if isinstance(a, str)), None)
+            if register is None:
+                # Lines are found only here: the head is the first token
+                # after the '(' that opens the event.
+                tokens = _SEXPR_TOKEN.findall(text)
+                i = _opening(tokens, forms, form) + 1
+                while tokens[i][0] in _BLANK:
+                    i += 1
                 raise MalformedSExpression(
-                    f"{head.text} event without a register name", path, head.line
+                    f"{head} event without a register name", path, _line(text, tokens, i)
                 )
-            events.append(TraceEvent(head.text, reg_atoms[0].text, _field_path(form[2:])))
+            events.append(TraceEvent(head, register, _field_path(form[2:])))
         else:
             stack.extend(reversed(form[1:]))
-    return TraceBundle(
-        instruction=instruction,
-        group=group,
-        events=tuple(events),
-        source_path=path,
-    )
+    return tuple(events)
+
+
+def parse_trace(
+    text: str, path: str = "<trace>", *, instruction: str = "", group: str | None = None
+) -> TraceBundle:
+    """Extract the register read and write events, in file order."""
+    return TraceBundle(instruction, group, _trace_events(text, path), path)
 
 
 # -- manifest ----------------------------------------------------------------
@@ -210,15 +202,10 @@ def load_traces(manifest_path: str) -> list[TraceBundle]:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise IoError(f"cannot read trace file {tpath}: {exc}") from exc
-        bundle = parse_trace(
-            text,
-            tpath,
-            instruction=name if flag == "instruction" else "",
-            group=name if flag == "group" else None,
-        )
         # Reports name the file as the manifest does, so they do not depend
         # on where the manifest lives; errors name the resolved path.
-        bundles.append(replace(bundle, source_path=fname))
+        instruction, group = (name, None) if flag == "instruction" else ("", name)
+        bundles.append(TraceBundle(instruction, group, _trace_events(text, tpath), fname))
     return bundles
 
 
@@ -239,9 +226,7 @@ def trace_footprint(bundles: Iterable[TraceBundle]) -> TraceFootprint:
         raise MixedGroup("no trace bundles given")
     names = {b.name for b in bundles}
     if len(names) != 1:
-        raise MixedGroup(
-            "bundles mix instructions/groups: " + ", ".join(sorted(names))
-        )
+        raise MixedGroup("bundles mix instructions/groups: " + ", ".join(sorted(names)))
     reads: set[StateRef] = set()
     writes: set[StateRef] = set()
     for b in bundles:
@@ -273,9 +258,6 @@ class ValidationReport:
     @property
     def violations(self) -> tuple[ValidationResult, ...]:
         return tuple(r for r in self.results if r.status == STATUS_VIOLATION)
-
-    def by_name(self) -> dict[str, ValidationResult]:
-        return {r.name: r for r in self.results}
 
 
 def _covered(ref: StateRef, have: frozenset[str], table: StateTable) -> bool:
@@ -315,13 +297,11 @@ def validate(
         group = by_name[name]
         fp = trace_footprint(group)
         scan = insights[name].footprint
-        scan_reads = scan.read_labels()
-        scan_writes = scan.write_labels()
         missing: list[tuple[str, str]] = []
         unknown: set[str] = set()
         for direction, refs, have in (
-            ("read", fp.reads, scan_reads),
-            ("write", fp.writes, scan_writes),
+            ("read", fp.reads, scan.read_labels()),
+            ("write", fp.writes, scan.write_labels()),
         ):
             for ref in sorted(refs, key=lambda r: natural_key(r.label)):
                 if ref.label not in table and ref.register not in table:
@@ -329,13 +309,12 @@ def validate(
                     continue
                 if not _covered(ref, have, table):
                     missing.append((ref.label, direction))
-        status = STATUS_VIOLATION if missing else STATUS_VALIDATED
         results.append(ValidationResult(
-            name=name,
-            status=status,
-            missing=tuple(missing),
-            unknown_registers=tuple(sorted(unknown)),
-            trace_files=tuple(sorted(b.source_path for b in group)),
+            name,
+            STATUS_VIOLATION if missing else STATUS_VALIDATED,
+            tuple(missing),
+            tuple(sorted(unknown)),
+            tuple(sorted(b.source_path for b in group)),
         ))
     return ValidationReport(tuple(results), tuple(sorted(unknown_names)))
 

@@ -372,3 +372,35 @@ def test_bad_input_files_exit_one_without_traceback(tmp_path, case):
         assert "insights.csv:4: label range 'x0..x1000000'" in proc.stderr
     if case in FLAGS_IGNORED_BY_REPORT:
         assert f"{FLAGS_IGNORED_BY_REPORT[case][0]} cannot be combined with --report" in proc.stderr
+
+
+LONG_LABEL = "x" + "9" * 5000  # more digits than int() converts from a string
+
+
+@pytest.mark.parametrize("case, expected_rc", [
+    ("states_long_label", 0),
+    ("manifest_long_label", 3),
+    ("manifest_superscript_digit", 3),
+])
+def test_odd_labels_keep_normal_exit_codes(tmp_path, case, expected_rc):
+    scan = tmp_path / "scan"
+    main(["scan", "--out", str(scan)])
+    if case == "states_long_label":
+        states = scan / "states.csv"
+        states.write_text(states.read_text() + f"{LONG_LABEL},internal,64,,,,\n")
+        argv = ["classify", "--source", "Supervisor", "--target", "Supervisor",
+                "--insights", str(scan / "insights.csv"), "--states", str(states)]
+    else:
+        main(["classify", "--source", "Supervisor", "--target", "Supervisor",
+              "--format", "json", "--out", str(scan)])
+        label = LONG_LABEL if case == "manifest_long_label" else "a1²"
+        manifest = tmp_path / "komodo.csv"
+        manifest.write_text((AUDITS / "komodo.csv").read_text() + f"{label}, swap\n")
+        argv = ["audit", "--manifest", str(manifest), "--report", str(scan / "sensitivity.json")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "sailstate", *argv, "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == expected_rc, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -63,7 +63,10 @@ sail_decl = st.one_of(
 )
 sail_decls = st.lists(sail_decl, max_size=4).map("\n".join)
 sexpr_text = st.lists(
-    st.sampled_from(("(", ")", "trace", "read-reg", "write-reg", "field", "|x|", '"s"', ";", "\n")),
+    st.sampled_from((
+        "(", ")", "trace", "read-reg", "write-reg", "field", "|x|", '"s"', ";", "\n",
+        "\x0b", "||", '"\\"', '"\\\\"', "|read-reg|", "( ;c\n read-reg",
+    )),
     max_size=40,
 ).map(" ".join)
 

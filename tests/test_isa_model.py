@@ -1,8 +1,9 @@
 import random
+import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sailstate.backend import load_backend
 from sailstate.errors import MalformedLine, UnknownCsrAddress, UnknownState
@@ -248,6 +249,7 @@ def test_range_expansion():
     assert expand_label_range("f0..f3") == ["f0", "f1", "f2", "f3"]
     assert expand_label_range("mepc") == ["mepc"]
     assert expand_label_range("f3..f1") == ["f3..f1"]  # nonsense passes through
+    assert expand_label_range("x١..x٣") == ["x١..x٣"]  # only ASCII digits index a range
 
 
 @pytest.mark.parametrize("shipped", ["x0..x31", "v0..v31", "f0..f31"])
@@ -276,3 +278,36 @@ def test_compress_expand_round_trip(nums):
     compressed = compress_labels(labels)
     expanded = [x for item in compressed for x in expand_label_range(item)]
     assert expanded == labels
+
+
+def _int_natural_key(label):
+    """The int()-based key natural_key replaced; the oracle for ASCII labels."""
+    return tuple(int(p) if p.isdigit() else p for p in re.split(r"(\d+)", label))
+
+
+ascii_label = st.one_of(
+    st.text(alphabet="x.0123456789", max_size=10),
+    st.text(alphabet=st.characters(max_codepoint=127), max_size=10),
+)
+
+
+@settings(derandomize=True)
+@given(st.lists(ascii_label, max_size=20))
+def test_natural_key_orders_ascii_labels_like_int(labels):
+    assert sorted(labels, key=natural_key) == sorted(labels, key=_int_natural_key)
+
+
+@settings(derandomize=True)
+@given(st.lists(st.one_of(st.text(), st.text(alphabet="x.19²٣")), max_size=8))
+def test_label_keys_are_total(labels):
+    for label in labels:
+        natural_key(label)
+    compress_labels(labels)
+
+
+def test_label_keys_take_long_and_non_ascii_digits():
+    long_label = "x" + "9" * 5000
+    assert sorted(["x10", long_label, "x9"], key=natural_key) == ["x9", "x10", long_label]
+    assert compress_labels([long_label, "x1" + "0" * 5000]) == [f"{long_label}..x1{'0' * 5000}"]
+    assert compress_labels(["a1²", "a1", "a2"]) == ["a1", "a1²", "a2"]
+    assert compress_labels(["x007", "x8"]) == ["x7..x8"]

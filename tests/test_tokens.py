@@ -2,7 +2,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sailstate.errors import UnterminatedComment, UnterminatedStringLiteral
-from sailstate.tokens import COMPARISON_OPS, KEYWORDS, reconstruct, significant, tokenize
+from sailstate.tokens import COMPARISON_OPS, KEYWORDS, Token, significant, tokenize
+
+
+def reconstruct(text: str, tokens: list[Token]) -> str:
+    """Rebuild the source from tokens plus the whitespace between them."""
+    out: list[str] = []
+    prev_end = 0
+    for tok in tokens:
+        out.append(text[prev_end:tok.offset])
+        out.append(tok.text)
+        prev_end = tok.offset + len(tok.text)
+    out.append(text[prev_end:])
+    return "".join(out)
 
 
 def test_reconstruct_round_trips_bundled_corpus(corpus_paths):

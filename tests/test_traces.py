@@ -27,19 +27,33 @@ TRACES = FIXTURES / "traces"
 
 def test_parse_sexprs_shapes():
     forms = parse_sexprs('(a |b c| "d e" (f 1)) ; comment\n(g)', "<t>")
-    assert len(forms) == 2
-    head = forms[0]
-    assert head[0].text == "a"
-    assert head[1].text == "b c"
-    assert head[2].text == '"d e"'
-    assert [x.text for x in head[3]] == ["f", "1"]
+    assert forms == [["a", "b c", '"d e"', ["f", "1"]], ["g"]]
 
 
-def test_parse_sexprs_tracks_lines():
-    forms = parse_sexprs("(a\n  (b)\n  c)", "<t>")
-    assert forms[0][0].line == 1
-    assert forms[0][1][0].line == 2
-    assert forms[0][2].line == 3
+def test_parse_sexprs_atom_characters():
+    # Only space, tab, CR and LF separate atoms; || is the empty symbol.
+    assert parse_sexprs("(a\x0bb || c)", "<t>") == [["a\x0bb", "", "c"]]
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("(trace\n  (a))\n)", 3, "unmatched ')'"),
+    ("(trace\n  (seq\n    (a)", 2, "unclosed '('"),
+    ("(trace\n  (a)\n  (b |sym\n c))", 3, "unterminated |...| symbol"),
+    ('(trace\n  (a)\n  (b "str\n c))', 3, "unterminated string"),
+    ("(trace\n  ( ; event\n   read-reg))", 3, "read-reg event without a register name"),
+])
+def test_malformed_sexpr_names_path_and_line(text, line, message):
+    with pytest.raises(MalformedSExpression) as info:
+        parse_trace(text, "t.trace", instruction="I")
+    assert str(info.value) == f"t.trace:{line}: {message}"
+    assert info.value.line == line
+
+
+def test_unterminated_string_ends_the_reading():
+    # Each escaped quote would start another scan to the end of the text if
+    # an unclosed string did not take the rest of it.
+    with pytest.raises(MalformedSExpression, match="t.trace:2: unterminated string"):
+        parse_sexprs("(a\n" + '"\\' * 100_000, "t.trace")
 
 
 @pytest.mark.parametrize("bad", ["(a (b)", "a))", "(x |unterminated", '(x "unterminated'])
