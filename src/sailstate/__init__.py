@@ -41,7 +41,6 @@ from .footprint import (
 from .isa_model import (
     ExplicitAccess,
     StateEntry,
-    StateRef,
     StateTable,
     derive_explicit_access,
     discover_states,
@@ -67,7 +66,6 @@ __all__ = [
     "SensitivityReport",
     "SourceError",
     "StateEntry",
-    "StateRef",
     "StateTable",
     "SwapManifest",
     "Token",

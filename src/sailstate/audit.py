@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .classifier import SensitivityReport
 from .errors import MalformedLine, PairMismatch, UnknownAction
-from .isa_model import compress_labels, expand_label_range, natural_key
+from .isa_model import compress_labels, expand_label_range, natural_key, split_label
 
 ACTION_SWAP = "swap"
 ACTION_CONDITIONAL = "swap_conditional"
@@ -40,8 +40,8 @@ class SwapManifest:
         if label in self.entries:
             action, prov = self.entries[label]
             return action, prov, False
-        register, _, fieldname = label.partition(".")
-        if fieldname and register in self.entries:
+        register, fieldname = split_label(label)
+        if fieldname is not None and register in self.entries:
             action, prov = self.entries[register]
             return action, prov, True
         return ACTION_NONE, "", False
@@ -70,6 +70,8 @@ def parse_manifest(text: str, path: str = "<manifest>") -> SwapManifest:
             raise MalformedLine(
                 f"{path}:{lineno}: expected 'state, action[, provenance]', got {raw!r}"
             )
+        if not parts[0]:
+            raise MalformedLine(f"{path}:{lineno}: empty state name in {raw!r}")
         action = parts[1]
         if action not in ACTIONS:
             raise UnknownAction(

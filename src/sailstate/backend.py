@@ -130,6 +130,11 @@ def _backend_from(cp: configparser.ConfigParser, path: str) -> BackendConfig:
         if not register:
             continue
         prefix = state.get(f"{kind}_prefix", kind[:1]).strip()
+        if "." in prefix:
+            raise BackendConfigError(
+                f"{path}: [state] {kind}_prefix {prefix!r} contains '.', "
+                "which separates a register from its field"
+            )
         accessors = frozenset(_split_list(syntax.get(f"{kind}_accessors", "")))
         banks.append(BankSpec(kind=kind, register=register, prefix=prefix, accessors=accessors))
     banks.sort(key=lambda b: b.kind)

@@ -13,8 +13,8 @@ from typing import Iterable, Mapping
 
 from .backend import BackendConfig
 from .errors import MalformedLine, UnknownMode, UnknownState
-from .footprint import TAG_IMPLICIT, InstructionInsight
-from .isa_model import ExplicitAccess, StateTable, natural_key
+from .footprint import InstructionInsight
+from .isa_model import ExplicitAccess, StateTable, split_label
 
 CLASS_INTEGRITY = "ComputationalIntegrity"
 CLASS_SIDE = "SideChannel"
@@ -90,7 +90,7 @@ def _derive_whole_field(origin: set[str], table: StateTable) -> set[str]:
     additions: set[str] = set()
     for label in origin:
         entry = table[label]
-        if entry.ref.field is not None:
+        if entry.is_field:
             if entry.parent in table:
                 additions.add(entry.parent)
         else:
@@ -106,7 +106,7 @@ def build_access_matrix(
     table: StateTable,
     backend: BackendConfig,
 ) -> AccessMatrix:
-    """Populate the matrix from implicit footprint entries of executable
+    """Populate the matrix from the implicit footprint labels of executable
     instructions, then derive whole<->field implicit flags one step.
 
     One pass over the instructions checks each implicit label once and adds
@@ -122,14 +122,11 @@ def build_access_matrix(
         admitted = [m for m in modes if m in ins.privileges]
         if not admitted:
             continue
-        for entries, by_mode in (
-            (ins.footprint.reads, impl_read),
-            (ins.footprint.writes, impl_write),
+        for labels, by_mode in (
+            (ins.footprint.implicit_reads, impl_read),
+            (ins.footprint.implicit_writes, impl_write),
         ):
-            for ref, tag in entries:
-                if tag != TAG_IMPLICIT:
-                    continue
-                label = ref.label
+            for label in labels:
                 if label not in table:
                     raise UnknownState(
                         f"instruction {name!r} references unknown state {label!r}"
@@ -261,7 +258,7 @@ def classify_all(
     # field -> whole escalation
     for label in table.labels():
         entry = table[label]
-        if entry.ref.field is not None or verdicts[label].sensitive:
+        if entry.is_field or verdicts[label].sensitive:
             continue
         field_hits = [
             verdicts[e.label] for e in table.fields_of(label)
@@ -318,10 +315,10 @@ SENSITIVITY_COLUMNS = (
 def sensitivity_rows(report: SensitivityReport) -> list[dict[str, str]]:
     rows = []
     for s in report.results:
-        register, _, fieldname = s.state.partition(".")
+        register, fieldname = split_label(s.state)
         rows.append({
             "register": register,
-            "field": fieldname,
+            "field": fieldname or "",
             "source": s.source,
             "target": s.target,
             "sensitive": "true" if s.sensitive else "false",
@@ -355,24 +352,48 @@ def report_to_json(report: SensitivityReport) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _json_typed(value, kind: type, key: str, index: int | None = None):
+    """`value` if it is a `kind`, else MalformedLine naming the report field."""
+    if type(value) is kind:
+        return value
+    where = key if index is None else f"states[{index}].{key}"
+    raise MalformedLine(f"{where} must be a {kind.__name__}, got {type(value).__name__}")
+
+
+def _json_strs(value, key: str, index: int) -> tuple[str, ...]:
+    """`value` as a tuple if it is a list of str, else MalformedLine."""
+    if type(value) is list:
+        try:
+            "".join(value)  # TypeError on an item that is not a str
+            return tuple(value)
+        except TypeError:
+            pass
+    raise MalformedLine(f"states[{index}].{key} must be a list of strings")
+
+
 def report_from_json(text: str) -> SensitivityReport:
     try:
         doc = json.loads(text)
-        source, target = doc["source"], doc["target"]
-        results = tuple(
-            Sensitivity(
-                state=item["state"],
-                kind=item.get("kind", ""),
-                source=source,
-                target=target,
-                sensitive=bool(item["sensitive"]),
-                classes=tuple(item.get("classes", ())),
-                rules=tuple(item.get("rules_fired", ())),
-                justification=tuple(item.get("justification", ())),
-                bidirectional=bool(item.get("bidirectional", False)),
+        source = _json_typed(doc["source"], str, "source")
+        target = _json_typed(doc["target"], str, "target")
+        verdicts: dict[str, Sensitivity] = {}
+        for i, item in enumerate(doc["states"]):
+            state = _json_typed(item["state"], str, "state", i)
+            if state in verdicts:
+                raise MalformedLine(f"states[{i}] repeats state {state!r}")
+            # Positional arguments: this runs once per state of a saved report.
+            verdicts[state] = Sensitivity(
+                state,
+                _json_typed(item.get("kind", ""), str, "kind", i),
+                source,
+                target,
+                _json_typed(item["sensitive"], bool, "sensitive", i),
+                _json_strs(item.get("classes", []), "classes", i),
+                _json_strs(item.get("rules_fired", []), "rules_fired", i),
+                _json_strs(item.get("justification", []), "justification", i),
+                _json_typed(item.get("bidirectional", False), bool, "bidirectional", i),
             )
-            for item in doc["states"]
-        )
+        results = tuple(verdicts.values())
     except json.JSONDecodeError as exc:
         raise MalformedLine(f"invalid JSON: {exc}") from None
     except KeyError as exc:

@@ -1,8 +1,8 @@
 """Per-function and per-instruction facts closed over the call graph.
 
-A footprint is two sets of (state, tag) pairs, reads and writes, where the
-tag says whether the access is explicit (operand or CSR-number addressed by
-the program) or implicit (a side effect the executing program never names).
+A footprint is four sets of state labels: the states read and written,
+each split by whether the access is explicit (operand or CSR-number addressed
+by the program) or implicit (a side effect the executing program never names).
 Footprints, and the external functions and privilege guards a body can reach,
 each propagate once over one callee map to a fixpoint; each execute clause
 then gets the union of its own value and its callees' closed values.
@@ -17,47 +17,57 @@ from typing import Iterable, Mapping
 from .backend import BackendConfig, BankSpec
 from .errors import MalformedLine, MissingEntryFunction
 from .isa_model import (
-    StateRef,
     compress_labels,
     expand_label_range,
     guards_from_harvest,
     read_csv_rows,
+    state_label,
 )
 from .parser import Body, SailModel
 
 TAG_EXPLICIT = "explicit"
 TAG_IMPLICIT = "implicit"
 
-Entry = tuple[StateRef, str]
-
 
 @dataclass(frozen=True)
 class Footprint:
-    reads: frozenset[Entry] = frozenset()
-    writes: frozenset[Entry] = frozenset()
+    """State labels read and written, named like the insights.csv columns."""
+
+    explicit_reads: frozenset[str] = frozenset()
+    implicit_reads: frozenset[str] = frozenset()
+    explicit_writes: frozenset[str] = frozenset()
+    implicit_writes: frozenset[str] = frozenset()
 
     def union(self, other: "Footprint") -> "Footprint":
-        if not other.reads and not other.writes:
+        if not other:
             return self
-        if not self.reads and not self.writes:
+        if not self:
             return other
-        return Footprint(self.reads | other.reads, self.writes | other.writes)
+        return Footprint(
+            self.explicit_reads | other.explicit_reads,
+            self.implicit_reads | other.implicit_reads,
+            self.explicit_writes | other.explicit_writes,
+            self.implicit_writes | other.implicit_writes,
+        )
 
-    def read_labels(self, tag: str | None = None) -> frozenset[str]:
-        return frozenset(r.label for r, t in self.reads if tag is None or t == tag)
+    @property
+    def reads(self) -> frozenset[str]:
+        return self.explicit_reads | self.implicit_reads
 
-    def write_labels(self, tag: str | None = None) -> frozenset[str]:
-        return frozenset(r.label for r, t in self.writes if tag is None or t == tag)
+    @property
+    def writes(self) -> frozenset[str]:
+        return self.explicit_writes | self.implicit_writes
 
     def __bool__(self) -> bool:
-        return bool(self.reads or self.writes)
+        return bool(self.explicit_reads or self.implicit_reads
+                    or self.explicit_writes or self.implicit_writes)
 
 
 EMPTY_FOOTPRINT = Footprint()
 
 
 class _BankEntries(dict):
-    """(bank, tag, is_write) -> entries of every element of the bank, built on
+    """(bank, is_write) -> labels of every element of the bank, built on
     first use and shared by every body of one analysis. Writes skip the
     hardwired-zero element."""
 
@@ -65,36 +75,37 @@ class _BankEntries(dict):
         super().__init__()
         self.model, self.backend = model, backend
 
-    def __missing__(self, key: tuple[BankSpec, str, bool]) -> frozenset[Entry]:
-        bank, tag, is_write = key
+    def __missing__(self, key: tuple[BankSpec, bool]) -> frozenset[str]:
+        bank, is_write = key
         size = self.model.registers[bank.register].rtype.size or 0
-        refs = (StateRef(f"{bank.prefix}{i}") for i in range(size))
-        entries = frozenset(
-            (ref, tag) for ref in refs
-            if not (is_write and ref.register == self.backend.hardwired_zero)
+        labels = frozenset(
+            label for label in (f"{bank.prefix}{i}" for i in range(size))
+            if not (is_write and label == self.backend.hardwired_zero)
         )
-        self[key] = entries
-        return entries
+        self[key] = labels
+        return labels
 
 
-def _mapped_accesses(
-    accesses: Iterable[tuple[str, str | None]],
-    banks: _BankEntries,
-    *,
-    is_write: bool,
-    helper_explicit: bool,
-) -> set[Entry]:
-    out: set[Entry] = set()
+def _direction(
+    accesses: Iterable[tuple[str, str | None]], callees: Iterable[str], banks: _BankEntries,
+    *, is_write: bool, in_helper: bool,
+) -> tuple[frozenset[str], frozenset[str]]:
+    """(explicit, implicit) labels of one direction of one body."""
+    explicit: set[str] = set()
+    implicit: set[str] = set()
     for reg, fieldname in accesses:
         bank = banks.backend.bank_for_register(reg)
         if bank is not None:
             # Direct indexing into a register bank: the index is dynamic, so
             # every element is touched. Side-effect access, hence implicit.
-            out |= banks[bank, TAG_IMPLICIT, is_write]
-            continue
-        tag = TAG_EXPLICIT if helper_explicit else TAG_IMPLICIT
-        out.add((StateRef(reg, fieldname), tag))
-    return out
+            implicit |= banks[bank, is_write]
+        else:
+            (explicit if in_helper else implicit).add(state_label(reg, fieldname))
+    for callee in callees:
+        bank = banks.backend.bank_for_accessor(callee)
+        if bank is not None:
+            explicit |= banks[bank, is_write]
+    return frozenset(explicit), frozenset(implicit)
 
 
 def direct_footprint(body: Body, banks: _BankEntries) -> Footprint:
@@ -105,21 +116,15 @@ def direct_footprint(body: Body, banks: _BankEntries) -> Footprint:
     """
     h = body.harvest
     backend = banks.backend
-    in_read_helper = body.name in backend.csr_read_helpers
-    in_write_helper = body.name in backend.csr_write_helpers
-
-    reads = _mapped_accesses(h.reads, banks, is_write=False, helper_explicit=in_read_helper)
-    writes = _mapped_accesses(h.writes, banks, is_write=True, helper_explicit=in_write_helper)
-
-    for callee in h.callees:
-        bank = backend.bank_for_accessor(callee)
-        if bank is not None:
-            reads |= banks[bank, TAG_EXPLICIT, False]
-    for callee in h.lvalue_callees:
-        bank = backend.bank_for_accessor(callee)
-        if bank is not None:
-            writes |= banks[bank, TAG_EXPLICIT, True]
-    return Footprint(frozenset(reads), frozenset(writes))
+    explicit_reads, implicit_reads = _direction(
+        h.reads, h.callees, banks,
+        is_write=False, in_helper=body.name in backend.csr_read_helpers,
+    )
+    explicit_writes, implicit_writes = _direction(
+        h.writes, h.lvalue_callees, banks,
+        is_write=True, in_helper=body.name in backend.csr_write_helpers,
+    )
+    return Footprint(explicit_reads, implicit_reads, explicit_writes, implicit_writes)
 
 
 def _propagation_callees(body: Body, model: SailModel, backend: BackendConfig) -> frozenset[str]:
@@ -249,10 +254,9 @@ ViaKey = tuple[str, str, str]  # (direction r|w, tag, state label)
 
 
 def _via_keys(fp: Footprint) -> frozenset[ViaKey]:
-    return frozenset(
-        [("r", tag, ref.label) for ref, tag in fp.reads]
-        + [("w", tag, ref.label) for ref, tag in fp.writes]
-    )
+    parts = (("r", TAG_EXPLICIT, fp.explicit_reads), ("r", TAG_IMPLICIT, fp.implicit_reads),
+             ("w", TAG_EXPLICIT, fp.explicit_writes), ("w", TAG_IMPLICIT, fp.implicit_writes))
+    return frozenset((direction, tag, label) for direction, tag, labels in parts for label in labels)
 
 
 def _via_paths(
@@ -346,11 +350,6 @@ INSIGHTS_COLUMNS = (
 )
 
 
-def _entry_cell(entries: frozenset[Entry], tag: str) -> str:
-    labels = [ref.label for ref, t in entries if t == tag]
-    return " ".join(compress_labels(labels))
-
-
 def _via_cell(
     via: tuple[tuple[str, str, str, str], ...], compressed: dict[tuple[str, ...], str]
 ) -> str:
@@ -372,14 +371,13 @@ def insight_rows(
 ) -> list[dict[str, str]]:
     # Rows repeat cells (every instruction carries the baseline) and `via`
     # label groups, so each distinct one is compressed once per call.
-    cells: dict[tuple[frozenset[Entry], str], str] = {}
+    cells: dict[frozenset[str], str] = {}
     via_labels: dict[tuple[str, ...], str] = {}
 
-    def cell(entries: frozenset[Entry], tag: str) -> str:
-        key = (entries, tag)
-        if key not in cells:
-            cells[key] = _entry_cell(entries, tag)
-        return cells[key]
+    def cell(labels: frozenset[str]) -> str:
+        if labels not in cells:
+            cells[labels] = " ".join(compress_labels(labels))
+        return cells[labels]
 
     rows = []
     for name in sorted(insights):
@@ -388,22 +386,14 @@ def insight_rows(
         rows.append({
             "instruction": name,
             "privileges": privs,
-            "explicit_reads": cell(ins.footprint.reads, TAG_EXPLICIT),
-            "implicit_reads": cell(ins.footprint.reads, TAG_IMPLICIT),
-            "explicit_writes": cell(ins.footprint.writes, TAG_EXPLICIT),
-            "implicit_writes": cell(ins.footprint.writes, TAG_IMPLICIT),
+            "explicit_reads": cell(ins.footprint.explicit_reads),
+            "implicit_reads": cell(ins.footprint.implicit_reads),
+            "explicit_writes": cell(ins.footprint.explicit_writes),
+            "implicit_writes": cell(ins.footprint.implicit_writes),
             "externals": " ".join(sorted(ins.externals)),
             "via": _via_cell(ins.via, via_labels),
         })
     return rows
-
-
-def _cell_entries(cell: str, tag: str) -> set[Entry]:
-    out: set[Entry] = set()
-    for token in cell.split():
-        for label in expand_label_range(token):
-            out.add((StateRef.parse(label), tag))
-    return out
 
 
 def load_insights_csv(
@@ -414,14 +404,15 @@ def load_insights_csv(
     if not rows or tuple(rows[0]) != INSIGHTS_COLUMNS:
         raise MalformedLine(f"{path}: expected header {','.join(INSIGHTS_COLUMNS)}")
     # Rows repeat cells (every instruction carries the baseline), so each
-    # distinct (cell, tag) is expanded once per call.
-    parsed: dict[tuple[str, str], frozenset[Entry]] = {}
+    # distinct cell is expanded once per call.
+    parsed: dict[str, frozenset[str]] = {}
 
-    def entries(cell: str, tag: str) -> frozenset[Entry]:
-        key = (cell, tag)
-        if key not in parsed:
-            parsed[key] = frozenset(_cell_entries(cell, tag))
-        return parsed[key]
+    def labels(cell: str) -> frozenset[str]:
+        if cell not in parsed:
+            parsed[cell] = frozenset(
+                label for token in cell.split() for label in expand_label_range(token)
+            )
+        return parsed[cell]
 
     insights: dict[str, InstructionInsight] = {}
     for lineno, row in enumerate(rows[1:], start=2):
@@ -431,10 +422,7 @@ def load_insights_csv(
         if name in insights:
             raise MalformedLine(f"{path}:{lineno}: duplicate instruction {name!r}")
         try:
-            footprint = Footprint(
-                reads=entries(er, TAG_EXPLICIT) | entries(ir, TAG_IMPLICIT),
-                writes=entries(ew, TAG_EXPLICIT) | entries(iw, TAG_IMPLICIT),
-            )
+            footprint = Footprint(labels(er), labels(ir), labels(ew), labels(iw))
         except MalformedLine as exc:
             raise MalformedLine(f"{path}:{lineno}: {exc}") from None
         insights[name] = InstructionInsight(

@@ -20,19 +20,15 @@ from .errors import MalformedLine, UnknownCsrAddress, UnknownState
 from .parser import Body, Harvest, SailModel, int_literal
 
 
-@dataclass(frozen=True)
-class StateRef:
-    register: str
-    field: str | None = None
+def state_label(register: str, field: str | None = None) -> str:
+    """A state's name: `register`, or `register.field` for a named field."""
+    return f"{register}.{field}" if field else register
 
-    @property
-    def label(self) -> str:
-        return f"{self.register}.{self.field}" if self.field else self.register
 
-    @staticmethod
-    def parse(label: str) -> "StateRef":
-        reg, _, fieldname = label.partition(".")
-        return StateRef(reg, fieldname or None)
+def split_label(label: str) -> tuple[str, str | None]:
+    """(register, field) of a label; the field is None for a whole register."""
+    register, _, field = label.partition(".")
+    return register, field or None
 
 
 _DIGIT_RUN = re.compile(r"([0-9]+)")
@@ -52,15 +48,15 @@ def natural_key(label: str):
 
 @dataclass(frozen=True)
 class StateEntry:
-    ref: StateRef
+    label: str
     kind: str            # internal | gpr | fpr | vector | csr | csr_field | ...
     width: int | None
     parent: str | None   # register label for fields, bank register for elements
     address: int | None  # CSR address when mapped
 
     @property
-    def label(self) -> str:
-        return self.ref.label
+    def is_field(self) -> bool:
+        return split_label(self.label)[1] is not None
 
 
 class StateTable:
@@ -70,7 +66,7 @@ class StateTable:
         # get copies, never these containers.
         fields: dict[str, list[StateEntry]] = {}
         for e in self.entries.values():
-            if e.parent is not None and e.ref.field is not None:
+            if e.parent is not None and e.is_field:
                 fields.setdefault(e.parent, []).append(e)
         self._fields: dict[str, tuple[StateEntry, ...]] = {
             parent: tuple(group) for parent, group in fields.items()
@@ -102,7 +98,7 @@ class StateTable:
         """The label itself plus every field it contains."""
         out = {label}
         entry = self.entries.get(label)
-        if entry is not None and entry.ref.field is None:
+        if entry is not None and not entry.is_field:
             out.update(e.label for e in self.fields_of(label))
         return frozenset(out)
 
@@ -153,18 +149,18 @@ def discover_states(
             width = _alias_width(decl.rtype.elem, model)
             for i in range(size):
                 entries.append(StateEntry(
-                    StateRef(f"{bank.prefix}{i}"), bank.kind, width, regname, None
+                    f"{bank.prefix}{i}", bank.kind, width, regname, None
                 ))
             continue
         address = addresses.get(regname)
         kind = "csr" if address is not None else "internal"
         width = _register_width(regname, model)
-        entries.append(StateEntry(StateRef(regname), kind, width, None, address))
+        entries.append(StateEntry(regname, kind, width, None, address))
         bf = model.bitfield_types.get(decl.rtype.base)
         if bf is not None:
             for f in bf.fields:
                 entries.append(StateEntry(
-                    StateRef(regname, f.name), f"{kind}_field", f.width, regname, address
+                    state_label(regname, f.name), f"{kind}_field", f.width, regname, address
                 ))
     return StateTable(entries)
 
@@ -312,7 +308,7 @@ def derive_explicit_access(
         if entry.kind in ("internal", "internal_field"):
             read_modes[label] = frozenset()
             write_modes[label] = frozenset()
-        elif entry.ref.field is not None:
+        elif entry.is_field:
             read_modes[label] = read_modes[entry.parent]
             write_modes[label] = write_modes[entry.parent]
         elif entry.address is not None:
@@ -521,9 +517,11 @@ def load_states_csv(text: str, path: str = "<states>") -> tuple[StateTable, Expl
         if len(row) != len(STATES_COLUMNS):
             raise MalformedLine(f"{path}:{lineno}: expected {len(STATES_COLUMNS)} columns")
         label, kind, width, address, parent, readable, writable = row
+        if label in read_modes:
+            raise MalformedLine(f"{path}:{lineno}: duplicate state {label!r}")
         try:
             entries.append(StateEntry(
-                ref=StateRef.parse(label),
+                label=label,
                 kind=kind,
                 width=int(width) if width else None,
                 parent=parent or None,

@@ -22,7 +22,7 @@ from .errors import (
     TraceManifestError,
 )
 from .footprint import InstructionInsight
-from .isa_model import StateRef, StateTable, natural_key
+from .isa_model import StateTable, natural_key, state_label
 
 
 # -- S-expression reader -----------------------------------------------------
@@ -212,11 +212,14 @@ def load_traces(manifest_path: str) -> list[TraceBundle]:
 # -- footprints and validation ------------------------------------------------
 
 
+StatePair = tuple[str, str | None]  # (register, first field or None)
+
+
 @dataclass(frozen=True)
 class TraceFootprint:
     name: str
-    reads: frozenset[StateRef]
-    writes: frozenset[StateRef]
+    reads: frozenset[StatePair]
+    writes: frozenset[StatePair]
 
 
 def trace_footprint(bundles: Iterable[TraceBundle]) -> TraceFootprint:
@@ -227,12 +230,12 @@ def trace_footprint(bundles: Iterable[TraceBundle]) -> TraceFootprint:
     names = {b.name for b in bundles}
     if len(names) != 1:
         raise MixedGroup("bundles mix instructions/groups: " + ", ".join(sorted(names)))
-    reads: set[StateRef] = set()
-    writes: set[StateRef] = set()
+    reads: set[StatePair] = set()
+    writes: set[StatePair] = set()
     for b in bundles:
         for ev in b.events:
-            ref = StateRef(ev.register, ev.field_path[0] if ev.field_path else None)
-            (reads if ev.kind == "read-reg" else writes).add(ref)
+            pair = (ev.register, ev.field_path[0] if ev.field_path else None)
+            (reads if ev.kind == "read-reg" else writes).add(pair)
     return TraceFootprint(names.pop(), frozenset(reads), frozenset(writes))
 
 
@@ -260,14 +263,15 @@ class ValidationReport:
         return tuple(r for r in self.results if r.status == STATUS_VIOLATION)
 
 
-def _covered(ref: StateRef, have: frozenset[str], table: StateTable) -> bool:
-    if ref.label in have:
+def _covered(register: str, field: str | None, have: frozenset[str], table: StateTable) -> bool:
+    label = state_label(register, field)
+    if label in have:
         return True
-    if ref.field is not None:
+    if field is not None:
         # whole-register entry covers any of its fields
-        return ref.register in have
+        return register in have
     # whole-register requirement: any field-level entry of it counts
-    return any(lab in have for lab in table.covered_by(ref.label) if lab != ref.label)
+    return any(lab in have for lab in table.covered_by(label) if lab != label)
 
 
 def validate(
@@ -299,16 +303,17 @@ def validate(
         scan = insights[name].footprint
         missing: list[tuple[str, str]] = []
         unknown: set[str] = set()
-        for direction, refs, have in (
-            ("read", fp.reads, scan.read_labels()),
-            ("write", fp.writes, scan.write_labels()),
+        for direction, pairs, have in (
+            ("read", fp.reads, scan.reads),
+            ("write", fp.writes, scan.writes),
         ):
-            for ref in sorted(refs, key=lambda r: natural_key(r.label)):
-                if ref.label not in table and ref.register not in table:
-                    unknown.add(ref.register)
+            for register, field in sorted(pairs, key=lambda p: natural_key(state_label(*p))):
+                label = state_label(register, field)
+                if label not in table and register not in table:
+                    unknown.add(register)
                     continue
-                if not _covered(ref, have, table):
-                    missing.append((ref.label, direction))
+                if not _covered(register, field, have, table):
+                    missing.append((label, direction))
         results.append(ValidationResult(
             name,
             STATUS_VIOLATION if missing else STATUS_VALIDATED,

@@ -127,8 +127,8 @@ def test_ac2_bundled_corpus_spot_checks(matrix):
 
 def test_ac3_machine_return_footprint(insights):
     insight = insights["MRET"]
-    reads = {r.label for r, _tag in insight.footprint.reads}
-    writes = {w.label for w, _tag in insight.footprint.writes}
+    reads = insight.footprint.reads
+    writes = insight.footprint.writes
     assert {"mstatus.MPIE", "mstatus.MPP", "cur_privilege"} <= reads
     assert {
         "mstatus.MIE", "mstatus.MPIE", "mstatus.MPP", "mstatus.MPRV",

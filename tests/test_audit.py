@@ -78,6 +78,8 @@ def test_parse_manifest_rejects_bad_rows():
     # ranges count toward duplicates too
     with pytest.raises(MalformedLine):
         parse_manifest(_manifest("f0..f3, swap\nf2, clear\n"))
+    with pytest.raises(MalformedLine, match=r"^m\.csv:3: empty state name"):
+        parse_manifest(_manifest("mepc, swap\n, swap\n"), "m.csv")
 
 
 def test_parse_manifest_bounds_label_ranges():

@@ -17,9 +17,9 @@ from sailstate.classifier import (
     report_to_json,
     sensitivity_rows,
 )
-from sailstate.errors import UnknownMode, UnknownState
-from sailstate.footprint import TAG_IMPLICIT, Footprint, InstructionInsight
-from sailstate.isa_model import ExplicitAccess, StateEntry, StateRef, StateTable
+from sailstate.errors import MalformedLine, UnknownMode, UnknownState
+from sailstate.footprint import Footprint, InstructionInsight
+from sailstate.isa_model import ExplicitAccess, StateEntry, StateTable
 
 
 def _mini_backend(modes):
@@ -40,7 +40,7 @@ def _mini_backend(modes):
 
 
 def _entry(label, kind="csr", parent=None):
-    return StateEntry(StateRef.parse(label), kind, 64, parent, None)
+    return StateEntry(label, kind, 64, parent, None)
 
 
 def _insight(name, mode, reads=(), writes=()):
@@ -48,8 +48,7 @@ def _insight(name, mode, reads=(), writes=()):
         instruction=name,
         privileges=frozenset({mode}),
         footprint=Footprint(
-            reads=frozenset((StateRef.parse(l), TAG_IMPLICIT) for l in reads),
-            writes=frozenset((StateRef.parse(l), TAG_IMPLICIT) for l in writes),
+            implicit_reads=frozenset(reads), implicit_writes=frozenset(writes)
         ),
         externals=frozenset(),
     )
@@ -127,19 +126,16 @@ def test_matrix_matches_independent_rederivation(insights, explicit, table, matr
         for ins in insights.values():
             if mode not in ins.privileges:
                 continue
-            for ref, tag in ins.footprint.reads:
-                if tag == TAG_IMPLICIT:
-                    impl_read.add(ref.label)
-            for ref, tag in ins.footprint.writes:
-                if tag == TAG_IMPLICIT:
-                    impl_write.add(ref.label)
+            impl_read |= ins.footprint.implicit_reads
+            impl_write |= ins.footprint.implicit_writes
         # one step of whole<->field widening from the original flags only
         def widen(labels):
             out = set(labels)
             for label in labels:
-                entry = table[label]
-                if entry.ref.field:
-                    out.add(entry.ref.register)
+                assert label in table
+                register, _, field = label.partition(".")
+                if field:
+                    out.add(register)
                 else:
                     out.update(e.label for e in table.fields_of(label))
             return out
@@ -260,6 +256,30 @@ def test_report_json_round_trip(report_ss):
     assert text.endswith("\n")
     doc = json.loads(text)
     assert doc["summary"]["sensitive_states"] == report_ss.sensitive_count
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"source": 5}, r"^source must be a str, got int$"),
+    ({"target": None}, r"^target must be a str, got NoneType$"),
+    ({"state": 5}, r"^states\[1\]\.state must be a str, got int$"),
+    ({"state": None}, r"^states\[1\]\.state must be a str"),
+    ({"sensitive": "false"}, r"^states\[1\]\.sensitive must be a bool, got str$"),
+    ({"bidirectional": 1}, r"^states\[1\]\.bidirectional must be a bool, got int$"),
+    ({"classes": "SideChannel"}, r"^states\[1\]\.classes must be a list of strings$"),
+    ({"rules_fired": [1]}, r"^states\[1\]\.rules_fired must be a list of strings$"),
+    ({"justification": None}, r"^states\[1\]\.justification must be a list of strings$"),
+    ({"state": "mepc"}, r"^states\[1\] repeats state 'mepc'$"),
+])
+def test_report_json_rejects_wrong_types_and_repeated_states(change, message):
+    states = [
+        {"state": "mepc", "sensitive": True, "classes": ["SideChannel"]},
+        {"state": "sepc", "sensitive": False, "classes": []},
+    ]
+    doc = {"source": "Supervisor", "target": "Supervisor", "states": states}
+    for key, value in change.items():
+        (doc if key in doc else states[1])[key] = value
+    with pytest.raises(MalformedLine, match=message):
+        report_from_json(json.dumps(doc))
 
 
 def test_sensitivity_rows_shape(report_ss):

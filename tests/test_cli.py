@@ -273,6 +273,15 @@ FLAGS_IGNORED_BY_REPORT = {
 }
 
 
+# Edits to the states of a saved sensitivity.json that make it malformed.
+REPORT_EDITS = {
+    "report_state_is_a_number": lambda states: states[1].update(state=5),
+    "report_state_is_null": lambda states: states[1].update(state=None),
+    "report_classes_is_a_string": lambda states: states[1].update(classes="SideChannel"),
+    "report_repeats_a_state": lambda states: states[1].update(state=states[0]["state"]),
+}
+
+
 def _bad_input_argv(case, tmp_path):
     """Arguments that feed `case`'s broken input file to the CLI."""
     if case in BAD_LITERAL_CORPORA:
@@ -284,15 +293,25 @@ def _bad_input_argv(case, tmp_path):
         manifest.write_text("@pair, Supervisor, Supervisor\nx0..x1000000, swap\n")
         return ["audit", "--manifest", str(manifest),
                 "--source", "Supervisor", "--target", "Supervisor"]
+    if case == "manifest_empty_state":
+        manifest = tmp_path / "empty.csv"
+        manifest.write_text("@pair, Supervisor, Supervisor\n, swap\n")
+        return ["audit", "--manifest", str(manifest),
+                "--source", "Supervisor", "--target", "Supervisor"]
     scan = tmp_path / "scan"
     main(["scan", "--out", str(scan)])
     states = scan / "states.csv"
     komodo = str(AUDITS / "komodo.csv")
-    if case in FLAGS_IGNORED_BY_REPORT:
+    if case in FLAGS_IGNORED_BY_REPORT or case in REPORT_EDITS:
         main(["classify", "--source", "Supervisor", "--target", "Supervisor",
               "--format", "json", "--out", str(scan)])
-        return ["audit", "--manifest", komodo, "--report", str(scan / "sensitivity.json"),
-                *FLAGS_IGNORED_BY_REPORT[case]]
+        report = scan / "sensitivity.json"
+        if case in REPORT_EDITS:
+            doc = json.loads(report.read_text())
+            REPORT_EDITS[case](doc["states"])
+            report.write_text(json.dumps(doc))
+        return ["audit", "--manifest", komodo, "--report", str(report),
+                *FLAGS_IGNORED_BY_REPORT.get(case, [])]
     if case == "insights_range_too_wide":
         insights = scan / "insights.csv"
         rows = insights.read_text().splitlines()
@@ -329,9 +348,11 @@ def _bad_input_argv(case, tmp_path):
     label, kind, width, address, *rest = rows[1].split(",")
     if case == "states_width_not_integer":
         width = "sixtyfour"
-    else:
+    elif case == "states_address_not_hex":
         address = "0xZZZ"
     rows[1] = ",".join([label, kind, width, address, *rest])
+    if case == "repeated_states_row":
+        rows.insert(2, rows[1])
     states.write_text("\n".join(rows) + "\n")
     return ["classify", "--source", "Machine", "--target", "User",
             "--insights", str(scan / "insights.csv"), "--states", str(states)]
@@ -348,8 +369,11 @@ def _bad_input_argv(case, tmp_path):
     "states_width_not_integer",
     "states_address_not_hex",
     "manifest_range_too_wide",
+    "manifest_empty_state",
     "insights_range_too_wide",
+    "repeated_states_row",
     *FLAGS_IGNORED_BY_REPORT,
+    *REPORT_EDITS,
     *BAD_LITERAL_CORPORA,
 ])
 def test_bad_input_files_exit_one_without_traceback(tmp_path, case):
@@ -372,6 +396,12 @@ def test_bad_input_files_exit_one_without_traceback(tmp_path, case):
         assert "insights.csv:4: label range 'x0..x1000000'" in proc.stderr
     if case in FLAGS_IGNORED_BY_REPORT:
         assert f"{FLAGS_IGNORED_BY_REPORT[case][0]} cannot be combined with --report" in proc.stderr
+    if case in REPORT_EDITS:
+        assert "sensitivity.json: " in proc.stderr
+    if case == "manifest_empty_state":
+        assert "empty.csv:2: empty state name" in proc.stderr
+    if case == "repeated_states_row":
+        assert "states.csv:3: duplicate state 'PC'" in proc.stderr
 
 
 LONG_LABEL = "x" + "9" * 5000  # more digits than int() converts from a string
@@ -381,13 +411,18 @@ LONG_LABEL = "x" + "9" * 5000  # more digits than int() converts from a string
     ("states_long_label", 0),
     ("manifest_long_label", 3),
     ("manifest_superscript_digit", 3),
+    ("states_label_with_empty_field", 1),
 ])
 def test_odd_labels_keep_normal_exit_codes(tmp_path, case, expected_rc):
     scan = tmp_path / "scan"
     main(["scan", "--out", str(scan)])
-    if case == "states_long_label":
+    if case.startswith("states_"):
         states = scan / "states.csv"
-        states.write_text(states.read_text() + f"{LONG_LABEL},internal,64,,,,\n")
+        if case == "states_long_label":
+            states.write_text(states.read_text() + f"{LONG_LABEL},internal,64,,,,\n")
+        else:
+            # Labels are used as written, so 'PC.' does not name the state PC.
+            states.write_text(states.read_text().replace("\nPC,", "\nPC.,", 1))
         argv = ["classify", "--source", "Supervisor", "--target", "Supervisor",
                 "--insights", str(scan / "insights.csv"), "--states", str(states)]
     else:
@@ -404,3 +439,5 @@ def test_odd_labels_keep_normal_exit_codes(tmp_path, case, expected_rc):
     )
     assert proc.returncode == expected_rc, proc.stderr
     assert "Traceback" not in proc.stderr
+    if case == "states_label_with_empty_field":
+        assert "unknown state 'PC'" in proc.stderr

@@ -23,7 +23,7 @@ from sailstate.footprint import (
     load_insights_csv,
     propagate,
 )
-from sailstate.isa_model import StateRef, compress_labels, guards_from_harvest, natural_key
+from sailstate.isa_model import compress_labels, guards_from_harvest, natural_key
 from sailstate.parser import Body, Harvest, merge_units, parse_corpus, parse_unit
 from sailstate.tokens import tokenize
 
@@ -31,16 +31,20 @@ from conftest import FIXTURES
 
 
 def _fp(reads=(), writes=()):
+    """A Footprint from (label, tag) pairs per direction."""
+    def tagged(pairs, tag):
+        return frozenset(l for l, t in pairs if t == tag)
+
     return Footprint(
-        reads=frozenset((StateRef.parse(l), t) for l, t in reads),
-        writes=frozenset((StateRef.parse(l), t) for l, t in writes),
+        explicit_reads=tagged(reads, TAG_EXPLICIT),
+        implicit_reads=tagged(reads, TAG_IMPLICIT),
+        explicit_writes=tagged(writes, TAG_EXPLICIT),
+        implicit_writes=tagged(writes, TAG_IMPLICIT),
     )
 
 
-def _labels(entries, tag=None):
-    return sorted(
-        (r.label for r, t in entries if tag is None or t == tag), key=natural_key
-    )
+def _labels(labels):
+    return sorted(labels, key=natural_key)
 
 
 # -- fixpoint propagation (independent brute-force oracle) ---------------------
@@ -98,8 +102,7 @@ def test_propagate_idempotent_and_monotone():
         again = propagate({k: (resolved[k], cs) for k, (_, cs) in direct.items()})
         for name in direct:
             own = direct[name][0]
-            assert own.reads <= resolved[name].reads
-            assert own.writes <= resolved[name].writes
+            assert own.union(resolved[name]) == resolved[name]
             assert again[name] == resolved[name]
 
 
@@ -120,10 +123,10 @@ def test_cycle_members_share_footprint():
 def test_csr_helper_bodies_are_explicit(model, backend):
     fps = function_footprints(model, backend)
     read_csr = fps["readCSR"]
-    assert "mepc" in _labels(read_csr.reads, TAG_EXPLICIT)
-    assert "cycle" in _labels(read_csr.reads, TAG_EXPLICIT)
+    assert "mepc" in read_csr.explicit_reads
+    assert "cycle" in read_csr.explicit_reads
     write_csr = fps["writeCSR"]
-    assert "satp" in _labels(write_csr.writes, TAG_EXPLICIT)
+    assert "satp" in write_csr.explicit_writes
     # the permission check itself reads nothing architectural
     assert fps["csr_access_ok"] == EMPTY_FOOTPRINT
 
@@ -131,17 +134,17 @@ def test_csr_helper_bodies_are_explicit(model, backend):
 def test_trap_handler_state_is_implicit(model, backend):
     fps = function_footprints(model, backend)
     th = fps["trap_handler"]
-    assert "mepc" in _labels(th.writes, TAG_IMPLICIT)
-    assert "mstatus.MPIE" in _labels(th.writes, TAG_IMPLICIT)
-    assert _labels(th.writes, TAG_EXPLICIT) == []
+    assert "mepc" in th.implicit_writes
+    assert "mstatus.MPIE" in th.implicit_writes
+    assert _labels(th.explicit_writes) == []
 
 
 def test_bank_accessor_calls_expand(model, backend):
     insights = instruction_insights(model, backend, include_baseline=False)
     add = insights["ADD"].footprint
-    reads = _labels(add.reads, TAG_EXPLICIT)
+    reads = _labels(add.explicit_reads)
     assert [f"x{i}" for i in range(32)] == reads
-    writes = _labels(add.writes, TAG_EXPLICIT)
+    writes = _labels(add.explicit_writes)
     assert "x0" not in writes  # hardwired zero never written
     assert writes == [f"x{i}" for i in range(1, 32)]
 
@@ -149,9 +152,9 @@ def test_bank_accessor_calls_expand(model, backend):
 def test_instruction_insights_mret(insights):
     mret = insights["MRET"]
     assert mret.privileges == frozenset({"Machine"})
-    reads = set(_labels(mret.footprint.reads))
+    reads = mret.footprint.reads
     assert {"mstatus.MPIE", "mstatus.MPP", "cur_privilege"} <= reads
-    writes = set(_labels(mret.footprint.writes))
+    writes = mret.footprint.writes
     assert {
         "mstatus.MIE", "mstatus.MPIE", "mstatus.MPP", "mstatus.MPRV",
         "cur_privilege",
@@ -165,11 +168,10 @@ def test_nop_without_baseline_is_empty(model, backend):
 
 def test_baseline_union_reaches_every_insight(model, backend, insights):
     base = baseline_footprint(model, backend)
-    assert "cur_privilege" in _labels(base.reads)
-    assert "mepc" in _labels(base.writes)  # interrupt entry path
+    assert "cur_privilege" in base.reads
+    assert "mepc" in base.writes  # interrupt entry path
     for ins in insights.values():
-        assert base.reads <= ins.footprint.reads
-        assert base.writes <= ins.footprint.writes
+        assert base.union(ins.footprint) == ins.footprint
 
 
 def test_baseline_entries_carry_via_marker(insights):
@@ -199,8 +201,8 @@ def test_missing_entry_function_raises(model, tmp_path):
 
 def test_store_side_effect_tagged_implicit(insights):
     sw = insights["SW"].footprint
-    assert "mip.MTIP" in _labels(sw.writes, TAG_IMPLICIT)
-    assert "mip.MTIP" not in _labels(sw.writes, TAG_EXPLICIT)
+    assert "mip.MTIP" in sw.implicit_writes
+    assert "mip.MTIP" not in sw.explicit_writes
 
 
 def test_injected_bug_corpus_loses_the_side_effect(backend):
@@ -208,7 +210,7 @@ def test_injected_bug_corpus_loses_the_side_effect(backend):
     model = parse_corpus(sorted(d.glob("*.sail")))
     insights = instruction_insights(model, backend)
     for name in ("SW", "SD", "SC"):
-        assert "mip.MTIP" not in _labels(insights[name].footprint.writes)
+        assert "mip.MTIP" not in insights[name].footprint.writes
 
 
 # -- externals and guards (per-clause graph walks as brute-force oracles) -----
@@ -395,8 +397,7 @@ def _assert_insights_round_trip(want, backend):
     for instr, ins in want.items():
         back = got[instr]
         assert back.privileges == ins.privileges, instr
-        assert back.footprint.reads == ins.footprint.reads, instr
-        assert back.footprint.writes == ins.footprint.writes, instr
+        assert back.footprint == ins.footprint, instr
         assert back.externals == ins.externals, instr
 
 
@@ -444,8 +445,8 @@ def test_insights_csv_names_the_line_of_a_too_wide_range():
 
 def _reference_rows(insights, backend):
     """insight_rows written out cell by cell, with nothing shared between rows."""
-    def entry_cell(entries, tag):
-        return " ".join(compress_labels([r.label for r, t in entries if t == tag]))
+    def entry_cell(labels):
+        return " ".join(compress_labels(labels))
 
     rows = []
     for name in sorted(insights):
@@ -460,10 +461,10 @@ def _reference_rows(insights, backend):
         rows.append({
             "instruction": name,
             "privileges": " ".join(m for m in backend.mode_order if m in ins.privileges),
-            "explicit_reads": entry_cell(ins.footprint.reads, TAG_EXPLICIT),
-            "implicit_reads": entry_cell(ins.footprint.reads, TAG_IMPLICIT),
-            "explicit_writes": entry_cell(ins.footprint.writes, TAG_EXPLICIT),
-            "implicit_writes": entry_cell(ins.footprint.writes, TAG_IMPLICIT),
+            "explicit_reads": entry_cell(ins.footprint.explicit_reads),
+            "implicit_reads": entry_cell(ins.footprint.implicit_reads),
+            "explicit_writes": entry_cell(ins.footprint.explicit_writes),
+            "implicit_writes": entry_cell(ins.footprint.implicit_writes),
             "externals": " ".join(sorted(ins.externals)),
             "via": via,
         })

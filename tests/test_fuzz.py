@@ -6,11 +6,13 @@ strings glued from pieces of their own syntax, which reach far deeper than
 random text.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sailstate.audit import parse_manifest
+from sailstate.audit import SwapManifest, audit, outcome_to_json, outcome_to_text, parse_manifest
 from sailstate.backend import default_backend, load_backend
 from sailstate.classifier import report_from_json
 from sailstate.errors import SailstateError
@@ -69,6 +71,34 @@ sexpr_text = st.lists(
     )),
     max_size=40,
 ).map(" ".join)
+
+json_string = st.sampled_from(("Machine", "mepc", "mstatus", "mstatus.MIE", "SideChannel", ""))
+json_value = st.one_of(
+    json_string, st.none(), st.booleans(), st.integers(),
+    st.lists(st.one_of(json_string, st.integers(), st.none()), max_size=3),
+)
+report_state = st.fixed_dictionaries({
+    "state": json_string,
+    "kind": json_string,
+    "sensitive": st.booleans(),
+    "classes": st.lists(json_string, max_size=2),
+    "rules_fired": st.lists(json_string, max_size=2),
+    "justification": st.lists(json_string, max_size=2),
+})
+
+
+@st.composite
+def report_json(draw):
+    """A well-formed sensitivity report, mostly with one value replaced."""
+    doc = draw(st.fixed_dictionaries({
+        "source": json_string,
+        "target": json_string,
+        "states": st.lists(report_state, max_size=4, unique_by=lambda s: s["state"]),
+    }))
+    if draw(st.integers(0, 3)):
+        place = draw(st.sampled_from([doc, *doc["states"]]))
+        place[draw(st.sampled_from(sorted(place)))] = draw(json_value)
+    return json.dumps(doc)
 
 
 def _rejects_cleanly(read, *args, **kwargs):
@@ -132,7 +162,23 @@ def test_load_states_csv(text, header):
     _rejects_cleanly(load_states_csv, header + text, "states.csv")
 
 
+def _audit_report(text):
+    report = report_from_json(text)
+    manifest = SwapManifest(report.source, report.target, {
+        "mepc": ("swap", "fw"), "mstatus": ("clear", ""),
+    })
+    outcome = audit(manifest, report)
+    outcome_to_json(outcome)
+    outcome_to_text(outcome)
+
+
 @settings(derandomize=True)
 @given(st.text())
 def test_report_from_json(text):
     _rejects_cleanly(report_from_json, text)
+
+
+@settings(derandomize=True)
+@given(report_json())
+def test_report_from_json_then_audit(text):
+    _rejects_cleanly(_audit_report, text)

@@ -6,20 +6,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sailstate.backend import load_backend
-from sailstate.errors import MalformedLine, UnknownCsrAddress, UnknownState
+from sailstate.errors import BackendConfigError, MalformedLine, UnknownCsrAddress, UnknownState
 from sailstate.footprint import instruction_insights
 from sailstate.isa_model import (
     DEFAULT_PERMISSION_RULE,
     MAX_LABEL_RANGE,
+    STATES_COLUMNS,
     StateEntry,
-    StateRef,
     StateTable,
     compress_labels,
     derive_explicit_access,
     discover_states,
     expand_label_range,
     extract_permission_rule,
+    load_states_csv,
     natural_key,
+    split_label,
+    state_label,
 )
 from sailstate.parser import parse_corpus
 
@@ -81,13 +84,13 @@ def _random_entries(rng):
     entries = []
     for i in rng.sample(range(40), rng.randint(0, 12)):
         reg = f"r{i}"
-        entries.append(StateEntry(StateRef(reg), "csr", 64, None, 0x300 + i))
+        entries.append(StateEntry(reg, "csr", 64, None, 0x300 + i))
         for k in rng.sample(range(12), rng.randint(0, 4)):
-            entries.append(StateEntry(StateRef(reg, f"F{k}"), "csr_field", 1, reg, None))
+            entries.append(StateEntry(f"{reg}.F{k}", "csr_field", 1, reg, None))
         for k in range(rng.randint(0, 3)):
-            entries.append(StateEntry(StateRef(f"{reg}e{k}"), "gpr", 64, reg, None))
+            entries.append(StateEntry(f"{reg}e{k}", "gpr", 64, reg, None))
     for k in range(rng.randint(0, 2)):
-        entries.append(StateEntry(StateRef("gone", f"F{k}"), "csr_field", 1, "gone", None))
+        entries.append(StateEntry(f"gone.F{k}", "csr_field", 1, "gone", None))
     if entries and rng.random() < 0.3:
         entries.append(rng.choice(entries))
     rng.shuffle(entries)
@@ -100,22 +103,22 @@ def test_state_table_lookups_match_brute_force_scans():
         table = StateTable(_random_entries(rng))
         everything = list(table.entries.values())
         assert table.labels() == sorted(table.entries, key=natural_key), seed
-        names = {e.ref.register for e in everything} | {"gone", "nothing"}
+        names = {split_label(e.label)[0] for e in everything} | {"gone", "nothing"}
         for name in sorted(names | set(table.entries)):
-            want = [e for e in everything if e.parent == name and e.ref.field is not None]
+            want = [e for e in everything if e.parent == name and "." in e.label]
             assert table.fields_of(name) == want, (seed, name)
             covered = {name}
-            if name in table.entries and table[name].ref.field is None:
+            if name in table.entries and "." not in name:
                 covered.update(e.label for e in want)
             assert table.covered_by(name) == covered, (seed, name)
 
 
 def test_state_table_results_are_copies():
     table = StateTable([
-        StateEntry(StateRef("mip"), "csr", 64, None, 0x344),
-        StateEntry(StateRef("mip", "MTIP"), "csr_field", 1, "mip", 0x344),
-        StateEntry(StateRef("x2"), "gpr", 64, "Xs", None),
-        StateEntry(StateRef("x10"), "gpr", 64, "Xs", None),
+        StateEntry("mip", "csr", 64, None, 0x344),
+        StateEntry("mip.MTIP", "csr_field", 1, "mip", 0x344),
+        StateEntry("x2", "gpr", 64, "Xs", None),
+        StateEntry("x10", "gpr", 64, "Xs", None),
     ])
     fields = table.fields_of("mip")
     labels = table.labels()
@@ -239,10 +242,30 @@ def test_guard_forms():
 
 # -- label utilities -----------------------------------------------------------
 
-def test_state_ref_round_trip():
-    assert StateRef.parse("mstatus.FS") == StateRef("mstatus", "FS")
-    assert StateRef.parse("mepc") == StateRef("mepc", None)
-    assert StateRef("mip", "MTIP").label == "mip.MTIP"
+def test_state_label_round_trip():
+    assert split_label("mstatus.FS") == ("mstatus", "FS")
+    assert split_label("mepc") == ("mepc", None)
+    assert state_label("mip", "MTIP") == "mip.MTIP"
+    assert state_label("mepc") == state_label("mepc", None) == "mepc"
+    assert StateEntry("mip.MTIP", "csr_field", 1, "mip", None).is_field
+    assert not StateEntry("mip", "csr", 64, None, None).is_field
+
+
+def test_bank_prefix_may_not_contain_a_dot(tmp_path):
+    ini = tmp_path / "backend.ini"
+    ini.write_text(
+        "[modes]\norder = User, Machine\n"
+        "[state]\ncurrent_privilege_register = cur_privilege\ngpr_bank = Xs\ngpr_prefix = x.\n"
+    )
+    with pytest.raises(BackendConfigError, match=r"gpr_prefix 'x\.' contains '\.'"):
+        load_backend(str(ini))
+
+
+def test_states_csv_rejects_a_repeated_state():
+    rows = [",".join(STATES_COLUMNS), "PC,internal,64,,,,", "mepc,csr,64,0x341,,Machine,Machine"]
+    load_states_csv("\n".join(rows) + "\n", "s.csv")
+    with pytest.raises(MalformedLine, match=r"^s\.csv:4: duplicate state 'PC'$"):
+        load_states_csv("\n".join(rows + rows[1:2]) + "\n", "s.csv")
 
 
 def test_range_expansion():

@@ -84,7 +84,7 @@ def test_parse_trace_nested_field_path_normalizes_to_first():
     text = "(trace (write-reg |vcsr| (field |VXRM| (field |HI|)) v))"
     bundle = parse_trace(text, "<t>", instruction="VADD")
     fp = trace_footprint([bundle])
-    assert sorted(w.label for w in fp.writes) == ["vcsr.VXRM"]
+    assert sorted(fp.writes) == [("vcsr", "VXRM")]
 
 
 def test_parse_trace_requires_register_atom():
@@ -109,8 +109,8 @@ def test_trace_footprint_unions_and_rejects_mixed():
     a = parse_trace("(trace (read-reg |mepc| nil v))", "<a>", instruction="I")
     b = parse_trace("(trace (write-reg |sepc| nil v))", "<b>", instruction="I")
     fp = trace_footprint([a, b])
-    assert sorted(r.label for r in fp.reads) == ["mepc"]
-    assert sorted(w.label for w in fp.writes) == ["sepc"]
+    assert sorted(fp.reads) == [("mepc", None)]
+    assert sorted(fp.writes) == [("sepc", None)]
     other = parse_trace("(trace)", "<c>", instruction="J")
     with pytest.raises(MixedGroup):
         trace_footprint([a, other])
