@@ -11,12 +11,13 @@ then gets the union of its own value and its callees' closed values.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping
 
 from .backend import BackendConfig, BankSpec
 from .errors import MalformedLine, MissingEntryFunction
 from .isa_model import (
+    bank_labels,
     compress_labels,
     expand_label_range,
     guards_from_harvest,
@@ -24,10 +25,6 @@ from .isa_model import (
     state_label,
 )
 from .parser import Body, SailModel
-
-TAG_EXPLICIT = "explicit"
-TAG_IMPLICIT = "implicit"
-
 
 @dataclass(frozen=True)
 class Footprint:
@@ -50,6 +47,26 @@ class Footprint:
             self.implicit_writes | other.implicit_writes,
         )
 
+    def intersection(self, other: "Footprint") -> "Footprint":
+        if not (self and other):
+            return EMPTY_FOOTPRINT
+        return Footprint(
+            self.explicit_reads & other.explicit_reads,
+            self.implicit_reads & other.implicit_reads,
+            self.explicit_writes & other.explicit_writes,
+            self.implicit_writes & other.implicit_writes,
+        )
+
+    def difference(self, other: "Footprint") -> "Footprint":
+        if not (self and other):
+            return self
+        return Footprint(
+            self.explicit_reads - other.explicit_reads,
+            self.implicit_reads - other.implicit_reads,
+            self.explicit_writes - other.explicit_writes,
+            self.implicit_writes - other.implicit_writes,
+        )
+
     @property
     def reads(self) -> frozenset[str]:
         return self.explicit_reads | self.implicit_reads
@@ -64,76 +81,66 @@ class Footprint:
 
 
 EMPTY_FOOTPRINT = Footprint()
+_FOOTPRINT_COLUMNS = tuple(f.name for f in fields(Footprint))
 
 
-class _BankEntries(dict):
-    """(bank, is_write) -> labels of every element of the bank, built on
-    first use and shared by every body of one analysis. Writes skip the
+_BankElements = Mapping[BankSpec, tuple[frozenset[str], frozenset[str]]]
+
+
+def _bank_elements(model: SailModel, backend: BackendConfig) -> _BankElements:
+    """Each bank's (read, written) element labels; writes skip the
     hardwired-zero element."""
-
-    def __init__(self, model: SailModel, backend: BackendConfig):
-        super().__init__()
-        self.model, self.backend = model, backend
-
-    def __missing__(self, key: tuple[BankSpec, bool]) -> frozenset[str]:
-        bank, is_write = key
-        size = self.model.registers[bank.register].rtype.size or 0
-        labels = frozenset(
-            label for label in (f"{bank.prefix}{i}" for i in range(size))
-            if not (is_write and label == self.backend.hardwired_zero)
-        )
-        self[key] = labels
-        return labels
+    out = {}
+    for bank in backend.banks:
+        labels = frozenset(bank_labels(model, bank))
+        out[bank] = (labels, labels - {backend.hardwired_zero})
+    return out
 
 
-def _direction(
-    accesses: Iterable[tuple[str, str | None]], callees: Iterable[str], banks: _BankEntries,
-    *, is_write: bool, in_helper: bool,
-) -> tuple[frozenset[str], frozenset[str]]:
-    """(explicit, implicit) labels of one direction of one body."""
-    explicit: set[str] = set()
-    implicit: set[str] = set()
-    for reg, fieldname in accesses:
-        bank = banks.backend.bank_for_register(reg)
-        if bank is not None:
-            # Direct indexing into a register bank: the index is dynamic, so
-            # every element is touched. Side-effect access, hence implicit.
-            implicit |= banks[bank, is_write]
-        else:
-            (explicit if in_helper else implicit).add(state_label(reg, fieldname))
-    for callee in callees:
-        bank = banks.backend.bank_for_accessor(callee)
-        if bank is not None:
-            explicit |= banks[bank, is_write]
-    return frozenset(explicit), frozenset(implicit)
-
-
-def direct_footprint(body: Body, banks: _BankEntries) -> Footprint:
-    """Footprint of one function or execute clause body, callees excluded.
+def _own_facts(
+    body: Body, model: SailModel, backend: BackendConfig, banks: _BankElements
+) -> tuple[Footprint, frozenset[str], _Reach]:
+    """What one function or execute clause body does by itself: its
+    footprint, the defined callees propagation follows, and its _Reach.
 
     Accesses inside configured CSR helper bodies are explicit on the helper's
-    direction; register-bank accessor calls are explicit operand access.
+    direction. Direct indexing into a register bank has a dynamic index, so
+    it touches every element, implicitly. A bank accessor call is explicit
+    operand access, not a call edge.
     """
     h = body.harvest
-    backend = banks.backend
-    explicit_reads, implicit_reads = _direction(
-        h.reads, h.callees, banks,
-        is_write=False, in_helper=body.name in backend.csr_read_helpers,
+    explicit_reads: set[str] = set()
+    implicit_reads: set[str] = set()
+    explicit_writes: set[str] = set()
+    implicit_writes: set[str] = set()
+    for accesses, in_helper, is_write, explicit, implicit in (
+        (h.reads, body.name in backend.csr_read_helpers, False, explicit_reads, implicit_reads),
+        (h.writes, body.name in backend.csr_write_helpers, True, explicit_writes, implicit_writes),
+    ):
+        for reg, fieldname in accesses:
+            bank = backend.bank_for_register(reg)
+            if bank is not None:
+                implicit |= banks[bank][is_write]
+            else:
+                (explicit if in_helper else implicit).add(state_label(reg, fieldname))
+    follow: set[str] = set()
+    externals: set[str] = set()
+    for name in h.callees | h.lvalue_callees:
+        bank = backend.bank_for_accessor(name)
+        if bank is not None:
+            if name in h.callees:
+                explicit_reads |= banks[bank][False]
+            if name in h.lvalue_callees:
+                explicit_writes |= banks[bank][True]
+        elif name in model.functions:
+            follow.add(name)
+        else:
+            externals.add(name)
+    footprint = Footprint(
+        frozenset(explicit_reads), frozenset(implicit_reads),
+        frozenset(explicit_writes), frozenset(implicit_writes),
     )
-    explicit_writes, implicit_writes = _direction(
-        h.writes, h.lvalue_callees, banks,
-        is_write=True, in_helper=body.name in backend.csr_write_helpers,
-    )
-    return Footprint(explicit_reads, implicit_reads, explicit_writes, implicit_writes)
-
-
-def _propagation_callees(body: Body, model: SailModel, backend: BackendConfig) -> frozenset[str]:
-    """Callees worth following: defined functions that are not bank accessors."""
-    names = body.harvest.callees | body.harvest.lvalue_callees
-    return frozenset(
-        n for n in names
-        if n in model.functions and backend.bank_for_accessor(n) is None
-    )
+    return footprint, frozenset(follow), _Reach(frozenset(externals), guards_from_harvest(h, backend))
 
 
 def propagate(direct: Mapping[str, tuple[object, Iterable[str]]]) -> dict[str, object]:
@@ -171,22 +178,11 @@ def propagate(direct: Mapping[str, tuple[object, Iterable[str]]]) -> dict[str, o
     return result
 
 
-def function_direct_footprints(
-    banks: _BankEntries,
-) -> dict[str, tuple[Footprint, frozenset[str]]]:
-    """Each function's own footprint, with the callees propagation follows."""
-    model, backend = banks.model, banks.backend
-    return {
-        name: (
-            direct_footprint(fn, banks),
-            _propagation_callees(fn, model, backend),
-        )
-        for name, fn in model.functions.items()
-    }
-
-
 def function_footprints(model: SailModel, backend: BackendConfig) -> dict[str, Footprint]:
-    return propagate(function_direct_footprints(_BankEntries(model, backend)))
+    banks = _bank_elements(model, backend)
+    return propagate({
+        name: _own_facts(fn, model, backend, banks)[:2] for name, fn in model.functions.items()
+    })
 
 
 def _baseline(resolved: Mapping[str, Footprint], backend: BackendConfig) -> Footprint:
@@ -231,51 +227,34 @@ class _Reach:
         return _Reach(self.externals | other.externals, guards)
 
 
-def _own_reach(body: Body, model: SailModel, backend: BackendConfig) -> _Reach:
-    h = body.harvest
-    externals = frozenset(
-        n for n in h.callees | h.lvalue_callees
-        if n not in model.functions and backend.bank_for_accessor(n) is None
-    )
-    return _Reach(externals, guards_from_harvest(h, backend))
-
-
 @dataclass(frozen=True)
 class InstructionInsight:
     instruction: str
     privileges: frozenset[str]
     footprint: Footprint
     externals: frozenset[str]
-    # (direction r|w, tag, state label, call path "f>g" or "baseline")
-    via: tuple[tuple[str, str, str, str], ...] = ()
-
-
-ViaKey = tuple[str, str, str]  # (direction r|w, tag, state label)
-
-
-def _via_keys(fp: Footprint) -> frozenset[ViaKey]:
-    parts = (("r", TAG_EXPLICIT, fp.explicit_reads), ("r", TAG_IMPLICIT, fp.implicit_reads),
-             ("w", TAG_EXPLICIT, fp.explicit_writes), ("w", TAG_IMPLICIT, fp.implicit_writes))
-    return frozenset((direction, tag, label) for direction, tag, labels in parts for label in labels)
+    # The groups the `via` cell writes: (footprint column, call path "f>g" or
+    # "baseline", labels), ordered by column as in insights.csv, then by path.
+    via: tuple[tuple[str, str, frozenset[str]], ...] = ()
 
 
 def _via_paths(
-    need: frozenset[ViaKey],
-    direct_keys: Mapping[str, frozenset[ViaKey]],
+    need: Footprint,
+    direct: Mapping[str, Footprint],
     callees_of: Mapping[str, list[str]],
     start: list[str],
-) -> dict[ViaKey, str]:
+) -> dict[str, Footprint]:
     """Shortest call path, from the sorted callees `start`, to a function
-    whose own footprint holds each key in `need`."""
-    out: dict[ViaKey, str] = {}
+    whose own footprint holds each label of `need`, grouped by path."""
+    out: dict[str, Footprint] = {}
     queue: deque[tuple[str, tuple[str, ...]]] = deque((n, (n,)) for n in start)
     visited: set[str] = set(start)
     while queue and need:
         name, path = queue.popleft()
-        found = need & direct_keys[name]
+        found = need.intersection(direct[name])
         if found:
-            out.update(dict.fromkeys(found, ">".join(path)))
-            need -= found
+            out[">".join(path)] = found
+            need = need.difference(found)
         for c in callees_of[name]:
             if c not in visited:
                 visited.add(c)
@@ -295,43 +274,44 @@ def instruction_insights(
     and once over reached externals and guards; both follow the same callee
     map. An instruction with no guard on any path runs in every mode.
     """
-    banks = _BankEntries(model, backend)
-    direct = function_direct_footprints(banks)
-    resolved = propagate(direct)
-    reach = propagate({
-        name: (_own_reach(model.functions[name], model, backend), callees)
-        for name, (_, callees) in direct.items()
-    })
+    banks = _bank_elements(model, backend)
+    facts = {name: _own_facts(fn, model, backend, banks) for name, fn in model.functions.items()}
+    resolved = propagate({name: (fp, follow) for name, (fp, follow, _) in facts.items()})
+    reach = propagate({name: (r, follow) for name, (_, follow, r) in facts.items()})
     baseline = _baseline(resolved, backend) if include_baseline else EMPTY_FOOTPRINT
     all_modes = frozenset(backend.mode_order)
-    # Each body's state labels are spelled out once, not once per
-    # instruction that reaches it.
-    direct_keys = {name: _via_keys(fp) for name, (fp, _) in direct.items()}
-    callees_of = {name: sorted(callees) for name, (_, callees) in direct.items()}
-    resolved_keys = {name: _via_keys(fp) for name, fp in resolved.items()}
-    baseline_keys = _via_keys(baseline)
+    direct = {name: fp for name, (fp, _, _) in facts.items()}
+    callees_of = {name: sorted(follow) for name, (_, follow, _) in facts.items()}
+    # Clauses share label sets (every one carries the baseline), so each
+    # distinct `via` set is kept once.
+    shared: dict[frozenset[str], frozenset[str]] = {}
 
     out: dict[str, InstructionInsight] = {}
     for name, clause in model.execute_clauses.items():
-        own = direct_footprint(clause, banks)
-        callees = sorted(_propagation_callees(clause, model, backend))
+        own, follow, closed = _own_facts(clause, model, backend, banks)
+        callees = sorted(follow)
         total = own
-        closed = _own_reach(clause, model, backend)
-        own_keys = total_keys = _via_keys(own)
         for callee in callees:
             total = total.union(resolved[callee])
             closed = closed.union(reach[callee])
-            total_keys = total_keys | resolved_keys[callee]
-        via = _via_paths(total_keys - own_keys, direct_keys, callees_of, callees)
+        paths = _via_paths(total.difference(own), direct, callees_of, callees)
         if include_baseline:
-            via.update(dict.fromkeys(baseline_keys - total_keys, "baseline"))
+            rest = baseline.difference(total)
+            if rest:  # a function named `baseline` shares the marker's group
+                paths["baseline"] = rest.union(paths.get("baseline", EMPTY_FOOTPRINT))
             total = total.union(baseline)
+        ordered = sorted(paths.items())
         out[name] = InstructionInsight(
             instruction=name,
             privileges=all_modes if closed.guards is None else closed.guards,
             footprint=total,
             externals=closed.externals,
-            via=tuple(sorted(key + (path,) for key, path in via.items())),
+            via=tuple(
+                (column, path, shared.setdefault(labels, labels))
+                for column in _FOOTPRINT_COLUMNS
+                for path, fp in ordered
+                if (labels := getattr(fp, column))
+            ),
         )
     return out
 
@@ -350,20 +330,7 @@ INSIGHTS_COLUMNS = (
 )
 
 
-def _via_cell(
-    via: tuple[tuple[str, str, str, str], ...], compressed: dict[tuple[str, ...], str]
-) -> str:
-    groups: dict[tuple[str, str, str], list[str]] = {}
-    for direction, tag, label, path in via:
-        groups.setdefault((direction, tag, path), []).append(label)
-    parts = []
-    for (direction, tag, path), labels in sorted(groups.items()):
-        marker = "~" if tag == TAG_IMPLICIT else ""
-        key = tuple(labels)
-        if key not in compressed:
-            compressed[key] = ",".join(compress_labels(labels))
-        parts.append(f"{direction}{marker}[{path}]={compressed[key]}")
-    return "; ".join(parts)
+_VIA_MARKERS = dict(zip(_FOOTPRINT_COLUMNS, ("r", "r~", "w", "w~")))
 
 
 def insight_rows(
@@ -372,12 +339,17 @@ def insight_rows(
     # Rows repeat cells (every instruction carries the baseline) and `via`
     # label groups, so each distinct one is compressed once per call.
     cells: dict[frozenset[str], str] = {}
-    via_labels: dict[tuple[str, ...], str] = {}
+    via_labels: dict[frozenset[str], str] = {}
 
     def cell(labels: frozenset[str]) -> str:
         if labels not in cells:
             cells[labels] = " ".join(compress_labels(labels))
         return cells[labels]
+
+    def via_group(labels: frozenset[str]) -> str:
+        if labels not in via_labels:
+            via_labels[labels] = ",".join(compress_labels(labels))
+        return via_labels[labels]
 
     rows = []
     for name in sorted(insights):
@@ -391,7 +363,10 @@ def insight_rows(
             "explicit_writes": cell(ins.footprint.explicit_writes),
             "implicit_writes": cell(ins.footprint.implicit_writes),
             "externals": " ".join(sorted(ins.externals)),
-            "via": _via_cell(ins.via, via_labels),
+            "via": "; ".join(
+                f"{_VIA_MARKERS[column]}[{path}]={via_group(labels)}"
+                for column, path, labels in ins.via
+            ),
         })
     return rows
 

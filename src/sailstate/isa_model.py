@@ -15,7 +15,7 @@ import re
 import warnings
 from dataclasses import dataclass
 
-from .backend import BackendConfig
+from .backend import BackendConfig, BankSpec
 from .errors import MalformedLine, UnknownCsrAddress, UnknownState
 from .parser import Body, Harvest, SailModel, int_literal
 
@@ -119,6 +119,14 @@ def _register_width(regname: str, model: SailModel) -> int | None:
     return _alias_width(rt.base, model)
 
 
+def bank_labels(model: SailModel, bank: BankSpec) -> list[str]:
+    """Labels of a register bank's elements; none when the corpus does not
+    declare the bank's register."""
+    decl = model.registers.get(bank.register)
+    size = (decl.rtype.size or 0) if decl is not None else 0
+    return [f"{bank.prefix}{i}" for i in range(size)]
+
+
 def discover_states(
     model: SailModel, backend: BackendConfig, *, strict: bool = True
 ) -> StateTable:
@@ -145,12 +153,11 @@ def discover_states(
         decl = model.registers[regname]
         bank = backend.bank_for_register(regname)
         if bank is not None:
-            size = decl.rtype.size or 0
             width = _alias_width(decl.rtype.elem, model)
-            for i in range(size):
-                entries.append(StateEntry(
-                    f"{bank.prefix}{i}", bank.kind, width, regname, None
-                ))
+            entries.extend(
+                StateEntry(label, bank.kind, width, regname, None)
+                for label in bank_labels(model, bank)
+            )
             continue
         address = addresses.get(regname)
         kind = "csr" if address is not None else "internal"
@@ -194,7 +201,7 @@ def _param_slices(fn: Body) -> tuple[dict[str, tuple[int, int]], list[tuple[tupl
     """Find PARAM[hi .. lo] slices in a function body.
 
     Returns let-bound aliases of plain slices, and (slice, value) pairs for
-    slices compared against a binary literal with ==.
+    slices compared against a numeric literal with ==.
     """
     toks = list(fn.body_tokens)
     params = set(fn.params)
@@ -224,12 +231,11 @@ def _param_slices(fn: Body) -> tuple[dict[str, tuple[int, int]], list[tuple[tupl
                 and toks[i + 6].kind == "operator"
                 and toks[i + 6].text == "=="
                 and toks[i + 7].kind == "literal"
+                and not toks[i + 7].text.startswith('"')
             ):
-                text = toks[i + 7].text.replace("_", "")
-                try:
-                    equality_tests.append((span, int(text, 0)))
-                except ValueError:
-                    pass
+                equality_tests.append(
+                    (span, int_literal(toks[i + 7], f"read-only test in {fn.name!r}"))
+                )
     return aliases, equality_tests
 
 

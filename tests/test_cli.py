@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -252,6 +253,29 @@ def test_module_entry_point(tmp_path):
     assert "parsed 8 files" in proc.stdout
 
 
+def test_bank_accessor_without_its_register_reads_no_elements(tmp_path):
+    """A corpus may call a bank accessor without declaring the bank's
+    register; the bank then has no elements to read or write."""
+    src = tmp_path / "nobank.sail"
+    src.write_text(
+        "register pc : bits(64)\n"
+        "function step() -> unit = { pc = pc + 4 }\n"
+        "function clause execute ADDI(rd) = { X(rd) = X(rd) + 1 }\n"
+    )
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sailstate", "scan", "--corpus", str(src), "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "1 instructions, 1 functions, 1 registers, 1 states" in proc.stdout
+    insights = (out / "insights.csv").read_text()
+    assert "ADDI," in insights and "pc" in insights
+    assert not re.search(r"\bx\d", insights)
+
+
 BAD_LITERAL_CORPORA = {
     "bits_width_leading_zero": "register r : bits(08)\n",
     "bits_width_bare_binary_prefix": "register r : bits(0b_)\n",
@@ -261,6 +285,8 @@ BAD_LITERAL_CORPORA = {
     "type_alias_leading_zero": "type t = bits(09)\n",
     "permission_slice_bare_hex_prefix":
         "function csr_access_ok(csr) = { let m = csr[0x_ .. 8]; m }\n",
+    "permission_read_only_bare_binary_prefix":
+        "function csr_access_ok(csr) = { let r = csr[11 .. 10] == 0b_; r }\n",
 }
 
 

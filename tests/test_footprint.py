@@ -3,6 +3,7 @@ import dataclasses
 import io
 import random
 import re
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,6 @@ from sailstate.errors import MalformedLine, MissingEntryFunction
 from sailstate.footprint import (
     EMPTY_FOOTPRINT,
     INSIGHTS_COLUMNS,
-    TAG_EXPLICIT,
-    TAG_IMPLICIT,
     Footprint,
     InstructionInsight,
     baseline_footprint,
@@ -28,6 +27,9 @@ from sailstate.parser import Body, Harvest, merge_units, parse_corpus, parse_uni
 from sailstate.tokens import tokenize
 
 from conftest import FIXTURES
+
+
+TAG_EXPLICIT, TAG_IMPLICIT = "explicit", "implicit"
 
 
 def _fp(reads=(), writes=()):
@@ -177,9 +179,9 @@ def test_baseline_union_reaches_every_insight(model, backend, insights):
 def test_baseline_entries_carry_via_marker(insights):
     nop = insights["NOP"]
     assert nop.via  # every entry accounted for
-    assert all(path == "baseline" for _, _, _, path in nop.via)
+    assert all(path == "baseline" for _, path, _ in nop.via)
     mret = insights["MRET"]
-    callee_paths = {path for _, _, _, path in mret.via if path != "baseline"}
+    callee_paths = {path for _, path, _ in mret.via if path != "baseline"}
     assert any(">" in p for p in callee_paths)  # reached through a callee chain
 
 
@@ -385,6 +387,105 @@ def test_guards_in_a_defined_bank_accessor_are_not_followed(graph_backend):
     assert insights["VIA_FUNCTION"].externals == frozenset({"handle_illegal"})
 
 
+# -- `via` groups (per-label BFS as an independent oracle) ----------------------
+
+_VIA_ORACLE_INI = (
+    "[modes]\norder = User, Supervisor, Machine\n"
+    "[state]\ncurrent_privilege_register = cur_privilege\n"
+    "[syntax]\ncsr_read_helpers = f0\ncsr_write_helpers = f1\n"
+    "[dispatch]\nentry_functions = step\n"
+)
+
+
+def _via_corpus(rng):
+    """Sail text: plain registers and calls between functions, with cycles,
+    self-loops and undefined callees; f0 and f1 are the CSR helpers."""
+    registers = [f"r{i}" for i in range(rng.randint(1, 8))]
+    functions = [f"f{i}" for i in range(rng.randint(1, 12))]
+
+    def body():
+        stmts = []
+        for _ in range(rng.randint(0, 5)):
+            kind = rng.randrange(4)
+            if kind == 0:
+                stmts.append(f"{rng.choice(registers)} = {rng.choice(registers)}")
+            elif kind == 1:
+                stmts.append(f"let v = {rng.choice(registers)}")
+            elif kind == 2:
+                stmts.append(f"{rng.choice(functions)}()")
+            else:
+                stmts.append(f"ext_{rng.randint(0, 2)}()")
+        return "{ " + "; ".join(stmts + ["()"]) + " }"
+
+    lines = ["enum Privilege = {User, Supervisor, Machine}",
+             "register cur_privilege : Privilege"]
+    lines += [f"register {r} : bits(64)" for r in registers]
+    lines += [f"function {name}() -> unit = {body()}" for name in functions + ["step"]]
+    lines += [f"function clause execute I{i}() = {body()}" for i in range(rng.randint(1, 8))]
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_via(model, backend, clause):
+    """`via` groups of one clause, label by label: the first function, in a
+    BFS from the clause's sorted defined callees, whose own harvest has the
+    label in that column, and `baseline` for labels only the entry reaches."""
+    def own_keys(body):
+        h = body.harvest
+        read_tag = "explicit" if body.name in backend.csr_read_helpers else "implicit"
+        write_tag = "explicit" if body.name in backend.csr_write_helpers else "implicit"
+        return ({(f"{read_tag}_reads", label) for label, _ in h.reads}
+                | {(f"{write_tag}_writes", label) for label, _ in h.writes})
+
+    def defined_callees(body):
+        h = body.harvest
+        return sorted(c for c in h.callees | h.lvalue_callees if c in model.functions)
+
+    def reachable_keys(name):
+        seen, stack, keys = set(), [name], set()
+        while stack:
+            n = stack.pop()
+            if n not in seen:
+                seen.add(n)
+                keys |= own_keys(model.functions[n])
+                stack.extend(defined_callees(model.functions[n]))
+        return keys
+
+    own = own_keys(clause)
+    path_of = {}
+    start = defined_callees(clause)
+    queue, visited = deque((n, n) for n in start), set(start)
+    while queue:
+        name, path = queue.popleft()
+        for key in sorted(own_keys(model.functions[name])):
+            if key not in own:
+                path_of.setdefault(key, path)
+        for c in defined_callees(model.functions[name]):
+            if c not in visited:
+                visited.add(c)
+                queue.append((c, f"{path}>{c}"))
+    for key in reachable_keys("step") - own - set(path_of):
+        path_of[key] = "baseline"
+    groups = {}
+    for (column, label), path in path_of.items():
+        groups.setdefault((INSIGHTS_COLUMNS.index(column), path), set()).add(label)
+    return tuple(
+        (INSIGHTS_COLUMNS[index], path, frozenset(labels))
+        for (index, path), labels in sorted(groups.items())
+    )
+
+
+def test_via_groups_match_per_label_bfs(tmp_path):
+    ini = tmp_path / "backend.ini"
+    ini.write_text(_VIA_ORACLE_INI)
+    backend = load_backend(str(ini))
+    for seed in range(200):
+        text = _via_corpus(random.Random(seed))
+        model = merge_units([parse_unit(tokenize(text, "<v>"), "<v>")])
+        insights = instruction_insights(model, backend)
+        for name, clause in model.execute_clauses.items():
+            assert insights[name].via == _oracle_via(model, backend, clause), (seed, name)
+
+
 # -- insights CSV round trip -----------------------------------------------------
 
 def _assert_insights_round_trip(want, backend):
@@ -451,12 +552,10 @@ def _reference_rows(insights, backend):
     rows = []
     for name in sorted(insights):
         ins = insights[name]
-        groups = {}
-        for direction, tag, label, path in ins.via:
-            groups.setdefault((direction, tag, path), []).append(label)
+        markers = dict(zip(INSIGHTS_COLUMNS[2:6], ("r", "r~", "w", "w~")))
         via = "; ".join(
-            f"{d}{'~' if t == TAG_IMPLICIT else ''}[{p}]={','.join(compress_labels(labels))}"
-            for (d, t, p), labels in sorted(groups.items())
+            f"{markers[column]}[{path}]={','.join(compress_labels(labels))}"
+            for column, path, labels in ins.via
         )
         rows.append({
             "instruction": name,
@@ -512,11 +611,12 @@ def test_insight_rows_keep_tags_and_paths_of_equal_label_sets():
     i = [("x1", TAG_IMPLICIT), ("x2", TAG_IMPLICIT)]
     want = {
         "A": InstructionInsight("A", modes, _fp(reads=x, writes=i), frozenset(),
-                                (("r", TAG_EXPLICIT, "x1", "f"), ("r", TAG_EXPLICIT, "x2", "f"))),
+                                (("explicit_reads", "f", frozenset({"x1", "x2"})),)),
         "B": InstructionInsight("B", modes, _fp(reads=i, writes=x), frozenset(),
-                                (("r", TAG_IMPLICIT, "x1", "g"), ("r", TAG_IMPLICIT, "x2", "g"))),
+                                (("implicit_reads", "g", frozenset({"x1", "x2"})),)),
         "C": InstructionInsight("C", modes, _fp(reads=x + i), frozenset(),
-                                (("w", TAG_IMPLICIT, "x1", "g"), ("w", TAG_EXPLICIT, "x2", "g"))),
+                                (("explicit_writes", "g", frozenset({"x2"})),
+                                 ("implicit_writes", "g", frozenset({"x1"})))),
     }
     backend = default_backend()
     rows = insight_rows(want, backend)
