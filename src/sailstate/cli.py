@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import sys
 from pathlib import Path
 
@@ -98,16 +99,22 @@ def _read_text(path: str, what: str) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_csv(path: Path, columns, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, columns, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, columns, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def _reject_corpus_flags(args, saved: str, others: tuple[str, ...] = ()) -> None:
@@ -318,8 +325,17 @@ def build_parser() -> _ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # A command keeps everything it builds until it returns, and that data
+    # holds no reference cycles, so the cyclic collector would only walk a
+    # growing live heap. Pause it for this one command, then give the
+    # caller back the state it had.
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except SailstateError as exc:
         print(f"sailstate: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -38,7 +38,7 @@ class CrossFileDuplicate(SailstateError):
 
 
 class IoError(SailstateError):
-    """A corpus or fixture file could not be read."""
+    """A corpus or fixture file could not be read or written."""
 
 
 class BackendConfigError(SailstateError):

@@ -1,15 +1,19 @@
+import gc
 import json
 import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from sailstate import cli
 from sailstate.backend import bundled_corpus_dir
 from sailstate.cli import build_parser, main
 
 from conftest import FIXTURES
+from test_acceptance import _write_synthetic_corpus
 
 TRACE_MANIFEST = str(FIXTURES / "traces" / "traces.manifest")
 BUG_CORPUS = str(FIXTURES / "corpora" / "bug_mem")
@@ -253,6 +257,73 @@ def test_module_entry_point(tmp_path):
     assert "parsed 8 files" in proc.stdout
 
 
+def _set_collector(enabled: bool) -> None:
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("argv, outcome", [
+    (["scan"], 0),
+    (["audit", "--manifest", "gone.csv", "--source", "Supervisor", "--target", "Supervisor"], 1),
+    (["scan", "--no-such-flag"], SystemExit),
+    (["scan"], RuntimeError),
+])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector_state(tmp_path, monkeypatch, argv, outcome, enabled):
+    seen = []
+    real_scan = cli.cmd_scan
+
+    def spy_scan(args):
+        seen.append(gc.isenabled())
+        if outcome is RuntimeError:
+            raise RuntimeError("unexpected")
+        return real_scan(args)
+
+    monkeypatch.setattr(cli, "cmd_scan", spy_scan)
+    was_enabled = gc.isenabled()
+    try:
+        _set_collector(enabled)
+        if isinstance(outcome, int):
+            assert main([*argv, "--out", str(tmp_path)]) == outcome
+        else:
+            with pytest.raises(outcome):
+                main([*argv, "--out", str(tmp_path)])
+        assert gc.isenabled() is enabled
+    finally:
+        _set_collector(was_enabled)
+    # The collector is off while a command runs, whatever the caller had.
+    assert seen == ([False] if argv == ["scan"] else [])
+
+
+def _cyclic_garbage_of_scan(corpus, out) -> int:
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(["scan", "--corpus", str(corpus), "--out", str(out)]) == 0
+        gc.collect()
+        return len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def test_scan_cyclic_garbage_does_not_grow_with_the_corpus(tmp_path):
+    """`main` pauses the cyclic collector for a whole command. That is only
+    safe while the analysis data holds no reference cycles: otherwise the
+    memory a paused command cannot free grows with the corpus. So the
+    cyclic garbage of a scan (argparse's own objects) must not depend on how
+    many bodies the corpus has."""
+    bundled = sorted(Path(bundled_corpus_dir()).glob("*.sail"))
+    large = tmp_path / "large"
+    large.mkdir()
+    _write_synthetic_corpus(bundled, large, copies=4)
+    small_garbage = _cyclic_garbage_of_scan(bundled_corpus_dir(), tmp_path / "small_out")
+    large_garbage = _cyclic_garbage_of_scan(large, tmp_path / "large_out")
+    assert small_garbage == large_garbage
+
+
 def test_bank_accessor_without_its_register_reads_no_elements(tmp_path):
     """A corpus may call a bank accessor without declaring the bank's
     register; the bank then has no elements to read or write."""
@@ -428,6 +499,42 @@ def test_bad_input_files_exit_one_without_traceback(tmp_path, case):
         assert "empty.csv:2: empty state name" in proc.stderr
     if case == "repeated_states_row":
         assert "states.csv:3: duplicate state 'PC'" in proc.stderr
+
+
+# Output paths that cannot be written, and the command that writes them.
+UNWRITABLE_OUTPUTS = {
+    "scan_out_is_a_file": (["scan"], None),
+    "scan_insights_is_a_directory": (["scan"], "insights.csv"),
+    "classify_json_is_a_directory": (
+        ["classify", "--source", "Supervisor", "--target", "Supervisor", "--format", "json"],
+        "sensitivity.json",
+    ),
+    "audit_findings_is_a_directory": (
+        ["audit", "--manifest", str(AUDITS / "komodo.csv"),
+         "--source", "Supervisor", "--target", "Supervisor"],
+        "findings.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", UNWRITABLE_OUTPUTS)
+def test_unwritable_outputs_exit_one_without_traceback(tmp_path, case):
+    argv, blocked = UNWRITABLE_OUTPUTS[case]
+    out = tmp_path / "out"
+    if blocked is None:
+        out.write_text("a file, not a directory\n")
+        blocked_path = out
+    else:
+        blocked_path = out / blocked
+        blocked_path.mkdir(parents=True)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sailstate", *argv, "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert f"sailstate: error: cannot write {blocked_path}" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 LONG_LABEL = "x" + "9" * 5000  # more digits than int() converts from a string
