@@ -8,9 +8,9 @@ reports mishandled, timing-prone, and redundant handling.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
+from . import jsonout
 from .classifier import SensitivityReport
 from .errors import MalformedLine, PairMismatch, UnknownAction
 from .isa_model import compress_labels, expand_label_range, natural_key, split_label
@@ -191,7 +191,7 @@ def outcome_to_json(outcome: AuditOutcome) -> str:
             for f in outcome.findings
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return jsonout.dumps(doc)
 
 
 def outcome_to_text(outcome: AuditOutcome) -> str:

@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from . import jsonout
 from .backend import BackendConfig
 from .errors import MalformedLine, UnknownMode, UnknownState
 from .footprint import InstructionInsight
@@ -349,7 +350,7 @@ def report_to_json(report: SensitivityReport) -> str:
             for s in report.results
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return jsonout.dumps(doc)
 
 
 def _json_typed(value, kind: type, key: str, index: int | None = None):
@@ -374,11 +375,18 @@ def _json_strs(value, key: str, index: int) -> tuple[str, ...]:
 def report_from_json(text: str) -> SensitivityReport:
     try:
         doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and numbers past the int-digit
+        # limit; RecursionError, arrays or objects nested too deep.
+        raise MalformedLine(f"invalid JSON: {exc}") from None
+    try:
         source = _json_typed(doc["source"], str, "source")
         target = _json_typed(doc["target"], str, "target")
         verdicts: dict[str, Sensitivity] = {}
         for i, item in enumerate(doc["states"]):
             state = _json_typed(item["state"], str, "state", i)
+            if not state:
+                raise MalformedLine(f"states[{i}] has an empty state name")
             if state in verdicts:
                 raise MalformedLine(f"states[{i}] repeats state {state!r}")
             # Positional arguments: this runs once per state of a saved report.
@@ -394,8 +402,6 @@ def report_from_json(text: str) -> SensitivityReport:
                 _json_typed(item.get("bidirectional", False), bool, "bidirectional", i),
             )
         results = tuple(verdicts.values())
-    except json.JSONDecodeError as exc:
-        raise MalformedLine(f"invalid JSON: {exc}") from None
     except KeyError as exc:
         raise MalformedLine(f"sensitivity report lacks key {exc}") from None
     except (TypeError, AttributeError) as exc:

@@ -1,0 +1,74 @@
+"""The one JSON writer behind every JSON output.
+
+`dumps(doc)` gives exactly the text of `json.dumps` with a two-space indent,
+plus a final newline. On CPython before 3.14 any indent makes `json.dumps`
+run its pure-Python encoder, one generator per container; here each
+container is one `str.join` and every string goes through
+`encode_basestring_ascii`, the C function `json.dumps` itself uses, so the
+escaping is the same by construction.
+
+Documents are built from `dict` (str keys), `list`, `str`, `int`, `bool` and
+`None`, matched by exact type. Anything else, a float, a tuple or a `str`
+subclass among them, raises `TypeError` rather than risk bytes that differ
+from `json`.
+"""
+
+from __future__ import annotations
+
+from json.encoder import encode_basestring_ascii as _string
+
+_INDENT = "  "
+
+
+def dumps(doc) -> str:
+    """`doc` as `json.dumps` writes it with a two-space indent, plus "\\n"."""
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(value, newline: str) -> str:
+    """`value` as JSON whose nested lines start with `newline` (a line break
+    and the current indent)."""
+    kind = type(value)
+    if kind is str:
+        return _string(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + _INDENT
+        items = [
+            _key(key) + (_string(item) if type(item) is str else _encode(item, inner))
+            for key, item in value.items()
+        ]
+        return _lines(items, "{}", inner, newline)
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + _INDENT
+        if all(type(item) is str for item in value):
+            items = list(map(_string, value))
+        else:
+            items = [_encode(item, inner) for item in value]
+        return _lines(items, "[]", inner, newline)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    raise TypeError(f"cannot write {kind.__name__} as JSON")
+
+
+def _key(key) -> str:
+    """`key` and the `": "` after it; a key must be exactly a `str`."""
+    if type(key) is not str:
+        raise TypeError(f"cannot write a {type(key).__name__} key as JSON")
+    return _string(key) + ": "
+
+
+def _lines(items: list[str], brackets: str, inner: str, newline: str) -> str:
+    """`items` one to a line between `brackets`. The brackets join the first
+    and last items so that the one `join` is the only copy of a container's
+    text; a megabyte report would otherwise be copied once per `+`."""
+    items[0] = brackets[0] + inner + items[0]
+    items[-1] += newline + brackets[1]
+    return ("," + inner).join(items)

@@ -8,12 +8,12 @@ covers everything the traces observed.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from . import jsonout
 from .errors import (
     IoError,
     MalformedSExpression,
@@ -344,7 +344,7 @@ def report_to_json(report: ValidationReport) -> str:
             for r in report.results
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return jsonout.dumps(doc)
 
 
 def report_summary_text(report: ValidationReport) -> str:

@@ -269,6 +269,7 @@ def test_report_json_round_trip(report_ss):
     ({"rules_fired": [1]}, r"^states\[1\]\.rules_fired must be a list of strings$"),
     ({"justification": None}, r"^states\[1\]\.justification must be a list of strings$"),
     ({"state": "mepc"}, r"^states\[1\] repeats state 'mepc'$"),
+    ({"state": ""}, r"^states\[1\] has an empty state name$"),
 ])
 def test_report_json_rejects_wrong_types_and_repeated_states(change, message):
     states = [
@@ -280,6 +281,15 @@ def test_report_json_rejects_wrong_types_and_repeated_states(change, message):
         (doc if key in doc else states[1])[key] = value
     with pytest.raises(MalformedLine, match=message):
         report_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("[" * 100_000, id="nested_too_deep"),
+    pytest.param('{"source": ' + "9" * 5000 + "}", id="number_too_long"),
+])
+def test_report_json_rejects_unreadable_json(text):
+    with pytest.raises(MalformedLine, match=r"^invalid JSON: "):
+        report_from_json(text)
 
 
 def test_sensitivity_rows_shape(report_ss):

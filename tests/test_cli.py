@@ -376,6 +376,15 @@ REPORT_EDITS = {
     "report_state_is_null": lambda states: states[1].update(state=None),
     "report_classes_is_a_string": lambda states: states[1].update(classes="SideChannel"),
     "report_repeats_a_state": lambda states: states[1].update(state=states[0]["state"]),
+    "report_state_is_empty": lambda states: states[1].update(state=""),
+}
+
+
+# Saved sensitivity.json texts that json.loads cannot turn into a document.
+UNREADABLE_REPORTS = {
+    "report_not_json": '{"source": \n',
+    "report_nested_too_deep": "[" * 100_000,
+    "report_number_too_long": '{"source": ' + "9" * 5000 + "}\n",
 }
 
 
@@ -427,9 +436,9 @@ def _bad_input_argv(case, tmp_path):
         report = tmp_path / "sensitivity.json"
         report.write_text('{"source": "Supervisor", "target": "Supervisor"}\n')
         return ["audit", "--manifest", komodo, "--report", str(report)]
-    if case == "report_not_json":
+    if case in UNREADABLE_REPORTS:
         report = tmp_path / "sensitivity.json"
-        report.write_text('{"source": \n')
+        report.write_text(UNREADABLE_REPORTS[case])
         return ["audit", "--manifest", komodo, "--report", str(report)]
     not_utf8 = tmp_path / "not_utf8"
     not_utf8.write_bytes(b"\xff\xfe")
@@ -459,7 +468,7 @@ def _bad_input_argv(case, tmp_path):
     "missing_manifest",
     "missing_insights",
     "report_without_states",
-    "report_not_json",
+    *UNREADABLE_REPORTS,
     "corpus_not_utf8",
     "backend_not_utf8",
     "trace_not_utf8",
@@ -495,6 +504,8 @@ def test_bad_input_files_exit_one_without_traceback(tmp_path, case):
         assert f"{FLAGS_IGNORED_BY_REPORT[case][0]} cannot be combined with --report" in proc.stderr
     if case in REPORT_EDITS:
         assert "sensitivity.json: " in proc.stderr
+    if case in UNREADABLE_REPORTS:
+        assert "sensitivity.json: invalid JSON: " in proc.stderr
     if case == "manifest_empty_state":
         assert "empty.csv:2: empty state name" in proc.stderr
     if case == "repeated_states_row":

@@ -1,8 +1,9 @@
 """Byte-for-byte regression of CLI outputs against committed golden files.
 
-The files under fixtures/golden were produced by the CLI before the call
-graph analysis was restructured; any change to them is a change in results.
-Regenerate only for a deliberate, documented behaviour change.
+The CSV files under fixtures/golden were produced by the CLI before the call
+graph analysis was restructured, and the JSON files (with findings.txt) before
+the JSON writers moved to `jsonout.dumps`; any change to them is a change in
+results. Regenerate only for a deliberate, documented behaviour change.
 """
 
 import pytest
@@ -33,11 +34,40 @@ def test_scan_matches_golden(tmp_path, name):
         assert (tmp_path / filename).read_bytes() == want, f"{name}/{filename}"
 
 
-@pytest.mark.parametrize(
-    ("source", "target"), [("Supervisor", "Supervisor"), ("User", "Machine")]
-)
+PAIRS = [("Supervisor", "Supervisor"), ("User", "Machine")]
+
+
+@pytest.mark.parametrize(("source", "target"), PAIRS)
 def test_classify_matches_golden(tmp_path, source, target):
     argv = ["classify", "--source", source, "--target", target, "--format", "csv"]
     assert main(argv + ["--out", str(tmp_path)]) == 0
     want = (GOLDEN / f"classify_{source}_{target}" / "sensitivity.csv").read_bytes()
     assert (tmp_path / "sensitivity.csv").read_bytes() == want
+
+
+@pytest.mark.parametrize(("source", "target"), PAIRS)
+def test_classify_json_matches_golden(tmp_path, source, target):
+    argv = ["classify", "--source", source, "--target", target, "--format", "json"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    want = (GOLDEN / f"classify_{source}_{target}" / "sensitivity.json").read_bytes()
+    assert (tmp_path / "sensitivity.json").read_bytes() == want
+
+
+def test_validate_matches_golden(tmp_path):
+    manifest = FIXTURES / "traces" / "traces.manifest"
+    assert main(["validate", "--traces", str(manifest), "--out", str(tmp_path)]) == 0
+    want = (GOLDEN / "bundled" / "validation.json").read_bytes()
+    assert (tmp_path / "validation.json").read_bytes() == want
+
+
+@pytest.mark.parametrize(
+    ("name", "exit_code"), [("ace", 0), ("keystone", 3), ("komodo", 3), ("salus", 4)]
+)
+def test_audit_matches_golden(tmp_path, name, exit_code):
+    report = GOLDEN / "classify_Supervisor_Supervisor" / "sensitivity.json"
+    manifest = FIXTURES / "audit" / f"{name}.csv"
+    argv = ["audit", "--report", str(report), "--manifest", str(manifest)]
+    assert main(argv + ["--out", str(tmp_path)]) == exit_code
+    for filename in ("findings.json", "findings.txt"):
+        want = (GOLDEN / f"audit_{name}" / filename).read_bytes()
+        assert (tmp_path / filename).read_bytes() == want, f"{name}/{filename}"
