@@ -46,7 +46,7 @@ from .isa_model import (
     discover_states,
 )
 from .parser import SailModel, parse_corpus, parse_unit
-from .tokens import Token, tokenize
+from .tokens import Stream, tokenize
 from .traces import TraceBundle, load_traces, parse_trace, trace_footprint, validate
 
 __version__ = "0.1.0"
@@ -68,7 +68,7 @@ __all__ = [
     "StateEntry",
     "StateTable",
     "SwapManifest",
-    "Token",
+    "Stream",
     "TraceBundle",
     "audit",
     "baseline_footprint",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .backend import BackendConfig, BankSpec
 from .errors import MalformedLine, UnknownCsrAddress, UnknownState
-from .parser import Body, Harvest, SailModel, int_literal
+from .parser import Body, Harvest, SailModel, int_literal, view
 
 
 def state_label(register: str, field: str | None = None) -> str:
@@ -203,38 +203,36 @@ def _param_slices(fn: Body) -> tuple[dict[str, tuple[int, int]], list[tuple[tupl
     Returns let-bound aliases of plain slices, and (slice, value) pairs for
     slices compared against a numeric literal with ==.
     """
-    toks = list(fn.body_tokens)
+    toks, start, n = view(fn.tokens)
+    kinds, texts = toks.kinds, toks.texts
     params = set(fn.params)
     aliases: dict[str, tuple[int, int]] = {}
     equality_tests: list[tuple[tuple[int, int], int]] = []
-    n = len(toks)
-    for i in range(n):
-        t = toks[i]
-        if t.kind != "identifier" or t.text not in params:
+    for i in range(start, n):
+        if kinds[i] != "identifier" or texts[i] not in params:
             continue
         # shape: PARAM [ LIT .. LIT ]
         if (
             i + 5 < n
-            and toks[i + 1].text == "["
-            and toks[i + 2].kind == "literal"
-            and toks[i + 3].text == ".."
-            and toks[i + 4].kind == "literal"
-            and toks[i + 5].text == "]"
+            and texts[i + 1] == "["
+            and kinds[i + 2] == "literal"
+            and texts[i + 3] == ".."
+            and kinds[i + 4] == "literal"
+            and texts[i + 5] == "]"
         ):
-            hi = int_literal(toks[i + 2], f"address slice in {fn.name!r}")
-            lo = int_literal(toks[i + 4], f"address slice in {fn.name!r}")
+            hi = int_literal(toks, i + 2, f"address slice in {fn.name!r}")
+            lo = int_literal(toks, i + 4, f"address slice in {fn.name!r}")
             span = (hi, lo) if hi >= lo else (lo, hi)
-            if i >= 3 and toks[i - 3].text == "let" and toks[i - 2].kind == "identifier" and toks[i - 1].text == "=":
-                aliases[toks[i - 2].text] = span
+            if i - start >= 3 and texts[i - 3] == "let" and kinds[i - 2] == "identifier" and texts[i - 1] == "=":
+                aliases[texts[i - 2]] = span
             if (
                 i + 7 < n
-                and toks[i + 6].kind == "operator"
-                and toks[i + 6].text == "=="
-                and toks[i + 7].kind == "literal"
-                and not toks[i + 7].text.startswith('"')
+                and texts[i + 6] == "=="
+                and kinds[i + 7] == "literal"
+                and not texts[i + 7].startswith('"')
             ):
                 equality_tests.append(
-                    (span, int_literal(toks[i + 7], f"read-only test in {fn.name!r}"))
+                    (span, int_literal(toks, i + 7, f"read-only test in {fn.name!r}"))
                 )
     return aliases, equality_tests
 
@@ -248,13 +246,14 @@ def extract_permission_rule(fn: Body) -> CsrPermissionRule:
     positions for whichever half is not found.
     """
     aliases, equality_tests = _param_slices(fn)
-    toks = list(fn.body_tokens)
+    toks, start, n = view(fn.tokens)
+    kinds, texts = toks.kinds, toks.texts
     min_priv: tuple[int, int] | None = None
-    for i, t in enumerate(toks):
-        if t.kind == "operator" and t.text in (">=", "<=", ">", "<"):
+    for i in range(start, n):
+        if kinds[i] == "operator" and texts[i] in (">=", "<=", ">", "<"):
             for j in (i - 1, i + 1):
-                if 0 <= j < len(toks) and toks[j].kind == "identifier" and toks[j].text in aliases:
-                    min_priv = aliases[toks[j].text]
+                if start <= j < n and kinds[j] == "identifier" and texts[j] in aliases:
+                    min_priv = aliases[texts[j]]
                     break
             if min_priv is not None:
                 break

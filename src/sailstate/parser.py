@@ -9,6 +9,7 @@ evaluated. Unrecognized top-level constructs become opaque spans.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import (
     CrossFileDuplicate,
@@ -16,7 +17,7 @@ from .errors import (
     IoError,
     MalformedDeclaration,
 )
-from .tokens import COMPARISON_OPS, Token, significant, tokenize
+from .tokens import COMPARISON_OPS, Stream, pair_brackets, tokenize
 
 # Keywords that can start a new top-level construct. Used to end open-ended
 # spans (val signatures, expression bodies, opaque regions).
@@ -97,17 +98,26 @@ class Harvest:
         )
 
 
+class Segment(NamedTuple):
+    """Tokens start..end-1 of a file's stream."""
+
+    stream: Stream
+    start: int
+    end: int
+
+
 @dataclass(frozen=True)
 class Body:
     """One function or execute clause and what harvest_body found in it.
 
     A clause's name is its instruction; a function's params are those of the
-    first of its clauses that has any.
+    first of its clauses that has any. `tokens` holds one range per clause,
+    in the order they merged; `view` reads them as one run.
     """
 
     name: str
     params: tuple[str, ...]
-    body_tokens: tuple[Token, ...]
+    tokens: tuple[Segment, ...]
     harvest: Harvest
     path: str
     line: int
@@ -164,47 +174,73 @@ def _register_fields(
     return table
 
 
-def int_literal(tok: Token, what: str) -> int:
-    """Value of a numeric literal token (decimal, 0x or 0b; `_` separators)."""
+def int_literal(tokens, i: int, what: str) -> int:
+    """Value of numeric literal token i (decimal, 0x or 0b; `_` separators).
+
+    `tokens` is a `Stream` or a `view` of merged bodies."""
+    text = tokens.texts[i]
     try:
-        return int(tok.text.replace("_", ""), 0)
+        return int(text.replace("_", ""), 0)
     except ValueError:
+        shown = repr(text) if len(text) <= 32 else f"{text[:32]!r}... ({len(text)} characters)"
         raise MalformedDeclaration(
-            f"bad numeric literal {tok.text!r} in {what}", tok.path, tok.line, tok.col
+            f"bad numeric literal {shown} in {what}", *tokens.where(i)
         ) from None
 
 
-def _match_close(toks: list[Token], open_i: int) -> int:
-    """Index of the token closing toks[open_i] (one of ( [ {)."""
-    opener = toks[open_i].text
-    closer = _OPENERS[opener]
-    depth = 0
-    for i in range(open_i, len(toks)):
-        t = toks[i].text
-        if t == opener:
-            depth += 1
-        elif t == closer:
-            depth -= 1
-            if depth == 0:
-                return i
-    raise MalformedDeclaration(
-        f"unbalanced {opener!r}", toks[open_i].path, toks[open_i].line, toks[open_i].col
-    )
+def _closer(tokens, j: int, end: int) -> int:
+    """Index of the token closing bracket j, which must come before `end`."""
+    close = tokens.partner[j]
+    if close < 0 or close >= end:
+        raise MalformedDeclaration(f"unbalanced {tokens.texts[j]!r}", *tokens.where(j))
+    return close
 
 
-def _find_matches(toks: list[Token]) -> tuple[MatchInfo, ...]:
+class _Joined:
+    """Token ranges of several streams read as one run, as a merged body is
+    read: brackets pair across the seams."""
+
+    __slots__ = ("kinds", "texts", "partner", "_ranges")
+
+    def __init__(self, ranges: tuple[Segment, ...]):
+        self.kinds = [k for r in ranges for k in r.stream.kinds[r.start : r.end]]
+        self.texts = [t for r in ranges for t in r.stream.texts[r.start : r.end]]
+        self.partner = pair_brackets(self.texts)
+        self._ranges = ranges
+
+    def where(self, i: int) -> tuple[str, int, int]:
+        for stream, start, end in self._ranges:
+            if i < end - start:
+                return stream.where(start + i)
+            i -= end - start
+        raise IndexError(i)
+
+
+def view(ranges: tuple[Segment, ...]) -> tuple[Stream | _Joined, int, int]:
+    """(tokens, start, end): a body's token ranges as one run to read."""
+    if len(ranges) == 1:
+        return ranges[0]
+    joined = _Joined(ranges)
+    return joined, 0, len(joined.texts)
+
+
+def _find_matches(toks, start: int, end: int) -> tuple[MatchInfo, ...]:
+    kinds, texts = toks.kinds, toks.texts
     out: list[MatchInfo] = []
-    n = len(toks)
-    for i, t in enumerate(toks):
-        if not (t.kind == "keyword" and t.text == "match"):
-            continue
+    i = start
+    while True:
+        try:
+            i = texts.index("match", i, end)
+        except ValueError:
+            break
+        i += 1
         subject = None
-        if i + 2 < n and toks[i + 1].kind == "identifier" and toks[i + 2].text == "{":
-            subject = toks[i + 1].text
+        if i + 1 < end and kinds[i] == "identifier" and texts[i + 1] == "{":
+            subject = texts[i]
         brace = None
         depth = 0
-        for j in range(i + 1, n):
-            txt = toks[j].text
+        for j in range(i, end):
+            txt = texts[j]
             if txt in "([":
                 depth += 1
             elif txt in ")]":
@@ -216,7 +252,7 @@ def _find_matches(toks: list[Token]) -> tuple[MatchInfo, ...]:
                 break
         if brace is None:
             continue
-        close = _match_close(toks, brace)
+        close = _closer(toks, brace, end)
         arms: list[tuple[str, frozenset[str]]] = []
         k = brace + 1
         while k < close:
@@ -225,7 +261,7 @@ def _find_matches(toks: list[Token]) -> tuple[MatchInfo, ...]:
             pat_start = k
             arrow = None
             while k < close:
-                txt = toks[k].text
+                txt = texts[k]
                 if txt in _OPENERS:
                     depth += 1
                 elif txt in _CLOSERS:
@@ -236,13 +272,12 @@ def _find_matches(toks: list[Token]) -> tuple[MatchInfo, ...]:
                 k += 1
             if arrow is None:
                 break
-            pattern = toks[pat_start:arrow]
             # body until "," at local depth 0, or the closing brace
             depth = 0
             k = arrow + 1
             body_start = k
             while k < close:
-                txt = toks[k].text
+                txt = texts[k]
                 if txt in _OPENERS:
                     depth += 1
                 elif txt in _CLOSERS:
@@ -250,51 +285,45 @@ def _find_matches(toks: list[Token]) -> tuple[MatchInfo, ...]:
                 elif txt == "," and depth == 0:
                     break
                 k += 1
-            body = toks[body_start:k]
+            body_end = k
             k += 1  # past the comma
-            if not pattern:
+            if arrow == pat_start:
                 continue
             called = frozenset(
-                body[x].text
-                for x in range(len(body) - 1)
-                if body[x].kind == "identifier" and body[x + 1].text == "("
+                texts[x]
+                for x in range(body_start, body_end - 1)
+                if kinds[x] == "identifier" and texts[x + 1] == "("
             )
-            arms.append((pattern[0].text, called))
+            arms.append((texts[pat_start], called))
         out.append(MatchInfo(subject, tuple(arms)))
     return tuple(out)
 
 
 def harvest_body(
-    toks: list[Token] | tuple[Token, ...],
+    ranges: tuple[Segment, ...],
     reg_fields: dict[str, frozenset[str]],
 ) -> Harvest:
     """Token-pattern extraction of register accesses, calls, and comparisons."""
-    toks = list(toks)
-    n = len(toks)
+    toks, start, n = view(ranges)
+    kinds, texts = toks.kinds, toks.texts
     reads: set[tuple[str, str | None]] = set()
     writes: set[tuple[str, str | None]] = set()
     calls: set[str] = set()
     lcalls: set[str] = set()
     comps: list[tuple[str, str, str]] = []
-    i = 0
+    i = start
     while i < n:
-        t = toks[i]
-        if t.kind == "identifier":
-            name = t.text
-            nxt = toks[i + 1] if i + 1 < n else None
+        kind = kinds[i]
+        if kind == "identifier":
+            name = texts[i]
+            nxt = texts[i + 1] if i + 1 < n else None
             if name in reg_fields:
-                if nxt is not None and nxt.text == "[":
-                    j = _match_close(toks, i + 1)
-                    inner = toks[i + 2 : j]
+                if nxt == "[":
+                    j = _closer(toks, i + 1, n)
                     fieldname = None
-                    if (
-                        len(inner) == 1
-                        and inner[0].kind == "identifier"
-                        and inner[0].text in reg_fields[name]
-                    ):
-                        fieldname = inner[0].text
-                    after = toks[j + 1] if j + 1 < n else None
-                    is_write = after is not None and after.kind == "operator" and after.text == "="
+                    if j == i + 3 and kinds[i + 2] == "identifier" and texts[i + 2] in reg_fields[name]:
+                        fieldname = texts[i + 2]
+                    is_write = j + 1 < n and texts[j + 1] == "="
                     if is_write:
                         writes.add((name, fieldname))
                     else:
@@ -303,40 +332,31 @@ def harvest_body(
                         i += 2  # descend into the dynamic index expression
                     else:
                         i = j + 2 if is_write else j + 1
-                elif nxt is not None and nxt.text == "." and i + 2 < n and toks[i + 2].text == "bits":
-                    after = toks[i + 3] if i + 3 < n else None
-                    if after is not None and after.kind == "operator" and after.text == "=":
+                elif nxt == "." and i + 2 < n and texts[i + 2] == "bits":
+                    if i + 3 < n and texts[i + 3] == "=":
                         writes.add((name, None))
                         i += 4
                     else:
                         reads.add((name, None))
                         i += 3
-                elif nxt is not None and nxt.kind == "operator" and nxt.text == "=":
+                elif nxt == "=":
                     writes.add((name, None))
                     i += 2
                 else:
                     reads.add((name, None))
                     i += 1
-            elif nxt is not None and nxt.text == "(":
-                j = _match_close(toks, i + 1)
-                after = toks[j + 1] if j + 1 < n else None
-                if after is not None and after.kind == "operator" and after.text == "=":
+            elif nxt == "(":
+                j = _closer(toks, i + 1, n)
+                if j + 1 < n and texts[j + 1] == "=":
                     lcalls.add(name)
                 else:
                     calls.add(name)
                 i += 2  # descend into arguments
             else:
                 i += 1
-        elif t.kind == "operator" and t.text in COMPARISON_OPS:
-            prev = toks[i - 1] if i > 0 else None
-            nxt = toks[i + 1] if i + 1 < n else None
-            if (
-                prev is not None
-                and nxt is not None
-                and prev.kind == "identifier"
-                and nxt.kind == "identifier"
-            ):
-                comps.append((prev.text, t.text, nxt.text))
+        elif kind == "operator" and texts[i] in COMPARISON_OPS:
+            if i > start and i + 1 < n and kinds[i - 1] == "identifier" and kinds[i + 1] == "identifier":
+                comps.append((texts[i - 1], texts[i], texts[i + 1]))
             i += 1
         else:
             i += 1
@@ -346,19 +366,22 @@ def harvest_body(
         frozenset(calls),
         frozenset(lcalls),
         tuple(comps),
-        _find_matches(toks),
+        _find_matches(toks, start, n),
     )
 
 
 class _UnitParser:
-    def __init__(self, tokens: list[Token], path: str):
-        self.toks = significant(tokens)
+    def __init__(self, stream: Stream, path: str):
+        self.stream = stream
+        self.kinds = stream.kinds
+        self.texts = stream.texts
+        self.n = len(stream)
         self.path = path
         self.i = 0
         self.registers: list[RegisterDecl] = []
         self.bitfields: list[BitfieldDecl] = []
-        self.raw_functions: list[tuple[str, tuple[str, ...], tuple[Token, ...], int]] = []
-        self.raw_clauses: list[tuple[str, tuple[str, ...], tuple[Token, ...], int]] = []
+        self.raw_functions: list[tuple[str, tuple[str, ...], Segment, int]] = []
+        self.raw_clauses: list[tuple[str, tuple[str, ...], Segment, int]] = []
         self.mappings: list[tuple[str, int, str]] = []
         self.enums: list[tuple[str, tuple[str, ...]]] = []
         self.type_aliases: list[tuple[str, int | None]] = []
@@ -367,107 +390,113 @@ class _UnitParser:
 
     # -- small helpers -----------------------------------------------------
 
-    def _peek(self, k: int = 0) -> Token | None:
+    def _text(self, k: int = 0) -> str | None:
+        """Text of the token k ahead, or None past the end."""
         j = self.i + k
-        return self.toks[j] if j < len(self.toks) else None
+        return self.texts[j] if j < self.n else None
 
-    def _error(self, message: str, tok: Token | None = None) -> MalformedDeclaration:
-        tok = tok or self._peek() or Token("punctuation", "", self.path, 0, 0, 0)
-        return MalformedDeclaration(message, tok.path, tok.line, tok.col)
+    def _named(self) -> bool:
+        """Whether the current token is an identifier or a keyword."""
+        return self.i < self.n and self.kinds[self.i] in ("identifier", "keyword")
 
-    def _expect(self, text: str, what: str) -> Token:
-        tok = self._peek()
-        if tok is None or tok.text != text:
-            raise self._error(f"expected {text!r} in {what}", tok)
+    def _line(self, j: int) -> int:
+        return self.stream.location(j)[0]
+
+    def _error(self, message: str, j: int | None = None) -> MalformedDeclaration:
+        """An error at token j, the current token by default; past the end
+        of the file it has no position."""
+        j = self.i if j is None else j
+        where = self.stream.where(j) if j < self.n else (self.path, 0, 0)
+        return MalformedDeclaration(message, *where)
+
+    def _expect(self, text: str, what: str) -> None:
+        if self._text() != text:
+            raise self._error(f"expected {text!r} in {what}")
         self.i += 1
-        return tok
 
-    def _ident(self, what: str) -> Token:
-        tok = self._peek()
-        if tok is None or tok.kind not in ("identifier", "keyword"):
-            raise self._error(f"expected a name in {what}", tok)
+    def _ident(self, what: str) -> str:
+        if not self._named():
+            raise self._error(f"expected a name in {what}")
         self.i += 1
-        return tok
+        return self.texts[self.i - 1]
 
     def _int_literal(self, what: str) -> int:
-        tok = self._peek()
-        if tok is None or tok.kind != "literal":
-            raise self._error(f"expected a numeric literal in {what}", tok)
+        if self.i >= self.n or self.kinds[self.i] != "literal":
+            raise self._error(f"expected a numeric literal in {what}")
         self.i += 1
-        return int_literal(tok, what)
+        return int_literal(self.stream, self.i - 1, what)
 
-    def _skip_balanced_from(self, open_i: int) -> int:
-        close = _match_close(self.toks, open_i)
-        return close + 1
+    def _close(self, open_i: int) -> int:
+        return _closer(self.stream, open_i, self.n)
 
-    def _consume_type_expr(self) -> tuple[Token, ...]:
+    def _consume_type_expr(self) -> None:
         """A type expression: name or name(...) or (...) tuples, arrows allowed."""
-        start = self.i
-        while True:
-            tok = self._peek()
-            if tok is None:
-                break
-            if tok.text in ("(", "[", "{"):
-                self.i = self._skip_balanced_from(self.i)
+        while self.i < self.n:
+            text = self.texts[self.i]
+            kind = self.kinds[self.i]
+            if text in _OPENERS:
+                self.i = self._close(self.i) + 1
                 continue
-            if tok.kind in ("identifier", "keyword") and tok.text in _TOP_ANCHORS:
+            if kind in ("identifier", "keyword") and text in _TOP_ANCHORS:
                 break
-            if tok.kind in ("identifier", "keyword", "literal") or tok.text in (
+            if kind in ("identifier", "keyword", "literal") or text in (
                 "->", ",", ".", "'", ":",
             ):
                 self.i += 1
                 continue
             break
-        return tuple(self.toks[start : self.i])
 
-    def _consume_until_anchor(self) -> tuple[Token, ...]:
-        start = self.i
+    def _consume_until_anchor(self) -> int:
+        """Skip to the next top-level keyword at bracket depth 0; returns
+        where the skipped span started."""
+        start = i = self.i
+        kinds, texts = self.kinds, self.texts
         depth = 0
-        while self.i < len(self.toks):
-            tok = self.toks[self.i]
-            if tok.text in _OPENERS:
+        while i < self.n:
+            text = texts[i]
+            if text in _OPENERS:
                 depth += 1
-            elif tok.text in _CLOSERS:
+            elif text in _CLOSERS:
                 depth -= 1
-            elif depth == 0 and tok.kind == "keyword" and tok.text in _TOP_ANCHORS:
+            elif depth == 0 and kinds[i] == "keyword" and text in _TOP_ANCHORS:
                 break
-            self.i += 1
-        return tuple(self.toks[start : self.i])
+            i += 1
+        self.i = i
+        return start
 
-    def _consume_body(self) -> tuple[Token, ...]:
-        tok = self._peek()
-        if tok is not None and tok.text == "{":
-            close = _match_close(self.toks, self.i)
-            body = tuple(self.toks[self.i + 1 : close])
+    def _consume_body(self) -> Segment:
+        if self._text() == "{":
+            close = self._close(self.i)
+            body = Segment(self.stream, self.i + 1, close)
             self.i = close + 1
             return body
-        return self._consume_until_anchor()
+        start = self._consume_until_anchor()
+        return Segment(self.stream, start, self.i)
 
     def _param_names(self, open_i: int) -> tuple[tuple[str, ...], int]:
         """Names of comma-separated parameters inside the parens at open_i."""
-        close = _match_close(self.toks, open_i)
+        close = self._close(open_i)
         names: list[str] = []
         depth = 0
         expect_name = True
         for j in range(open_i + 1, close):
-            tok = self.toks[j]
-            if tok.text in _OPENERS:
+            text = self.texts[j]
+            if text in _OPENERS:
                 depth += 1
-            elif tok.text in _CLOSERS:
+            elif text in _CLOSERS:
                 depth -= 1
-            elif depth == 0 and tok.text == ",":
+            elif depth == 0 and text == ",":
                 expect_name = True
-            elif depth == 0 and expect_name and tok.kind == "identifier":
-                names.append(tok.text)
+            elif depth == 0 and expect_name and self.kinds[j] == "identifier":
+                names.append(text)
                 expect_name = False
         return tuple(names), close
 
     # -- top-level constructs ----------------------------------------------
 
     def parse(self) -> SourceUnit:
-        while self.i < len(self.toks):
-            tok = self.toks[self.i]
-            text = tok.text
+        while self.i < self.n:
+            text = self.texts[self.i]
             if text == "register":
                 self._parse_register()
             elif text == "bitfield":
@@ -489,12 +518,12 @@ class _UnitParser:
                 self._consume_until_anchor()
             elif text == "scattered":
                 self.i += 1
-                if self._peek() is not None and self._peek().text in ("function", "union", "mapping"):
+                if self._text() in ("function", "union", "mapping"):
                     self.i += 1
                 self._ident("scattered declaration")
             elif text == "end":
                 self.i += 1
-                if self._peek() is not None and self._peek().kind in ("identifier", "keyword"):
+                if self._named():
                     self.i += 1
             elif text == "let":
                 self.i += 1
@@ -504,111 +533,107 @@ class _UnitParser:
         return self._build_unit()
 
     def _parse_register(self) -> None:
-        head = self.toks[self.i]
+        head = self.i
         self.i += 1
-        name = self._ident("register declaration").text
+        name = self._ident("register declaration")
         self._expect(":", f"register declaration of {name!r}")
         rtype = self._parse_register_type(name)
         if any(r.name == name for r in self.registers):
             raise DuplicateDefinition(
-                f"register {name!r} declared twice", head.path, head.line, head.col
+                f"register {name!r} declared twice", *self.stream.where(head)
             )
-        self.registers.append(RegisterDecl(name, rtype, self.path, head.line))
+        self.registers.append(RegisterDecl(name, rtype, self.path, self._line(head)))
 
     def _parse_register_type(self, regname: str) -> RegisterType:
-        tok = self._peek()
-        if tok is None or tok.kind not in ("identifier", "keyword"):
-            raise self._error(f"register {regname!r} needs a type, e.g. 'register {regname} : bits(64)'", tok)
-        base = tok.text
+        if not self._named():
+            raise self._error(f"register {regname!r} needs a type, e.g. 'register {regname} : bits(64)'")
+        base = self.texts[self.i]
         self.i += 1
-        nxt = self._peek()
-        if base == "bits" and nxt is not None and nxt.text == "(":
+        nxt = self._text()
+        if base == "bits" and nxt == "(":
             width = None
-            close = _match_close(self.toks, self.i)
-            inner = self.toks[self.i + 1 : close]
-            if len(inner) == 1 and inner[0].kind == "literal":
-                width = int_literal(inner[0], f"register {regname!r} width")
+            close = self._close(self.i)
+            if close == self.i + 2 and self.kinds[self.i + 1] == "literal":
+                width = int_literal(self.stream, self.i + 1, f"register {regname!r} width")
             self.i = close + 1
             return RegisterType("bits", width=width)
-        if base == "vector" and nxt is not None and nxt.text == "(":
-            close = _match_close(self.toks, self.i)
-            inner = self.toks[self.i + 1 : close]
+        if base == "vector" and nxt == "(":
+            close = self._close(self.i)
+            first, last = self.i + 1, close - 1
             size = None
             elem = None
-            if inner and inner[0].kind == "literal":
-                size = int_literal(inner[0], f"register {regname!r} vector size")
-            if inner and inner[-1].kind in ("identifier", "keyword"):
-                elem = inner[-1].text
+            if first <= last and self.kinds[first] == "literal":
+                size = int_literal(self.stream, first, f"register {regname!r} vector size")
+            if first <= last and self.kinds[last] in ("identifier", "keyword"):
+                elem = self.texts[last]
             self.i = close + 1
             return RegisterType("vector", size=size, elem=elem)
-        if nxt is not None and nxt.text == "(":
-            self.i = self._skip_balanced_from(self.i)
+        if nxt == "(":
+            self.i = self._close(self.i) + 1
         return RegisterType(base)
 
     def _parse_bitfield(self) -> None:
-        head = self.toks[self.i]
+        head = self.i
         self.i += 1
-        name = self._ident("bitfield declaration").text
+        name = self._ident("bitfield declaration")
         self._expect(":", f"bitfield {name!r}")
         width: int | None = None
         alias: str | None = None
-        tok = self._peek()
-        if tok is not None and tok.text == "bits":
+        if self._text() == "bits":
             self.i += 1
             self._expect("(", f"bitfield {name!r} width")
             width = self._int_literal(f"bitfield {name!r} width")
             self._expect(")", f"bitfield {name!r} width")
-        elif tok is not None and tok.kind in ("identifier", "keyword"):
-            alias = tok.text
+        elif self._named():
+            alias = self.texts[self.i]
             self.i += 1
         else:
-            raise self._error(f"bitfield {name!r} needs a width, e.g. 'bitfield {name} : bits(64)'", tok)
+            raise self._error(f"bitfield {name!r} needs a width, e.g. 'bitfield {name} : bits(64)'")
         self._expect("=", f"bitfield {name!r}")
-        open_tok = self._peek()
-        if open_tok is None or open_tok.text != "{":
-            raise self._error(f"bitfield {name!r} needs a field block '{{ ... }}'", open_tok)
-        close = _match_close(self.toks, self.i)
+        if self._text() != "{":
+            raise self._error(f"bitfield {name!r} needs a field block '{{ ... }}'")
+        close = self._close(self.i)
         fields = self._parse_bitfield_fields(self.i + 1, close, name)
         self.i = close + 1
         if any(b.name == name for b in self.bitfields):
             raise DuplicateDefinition(
-                f"bitfield {name!r} declared twice", head.path, head.line, head.col
+                f"bitfield {name!r} declared twice", *self.stream.where(head)
             )
-        self.bitfields.append(BitfieldDecl(name, width, alias, fields, self.path, head.line))
+        self.bitfields.append(BitfieldDecl(name, width, alias, fields, self.path, self._line(head)))
 
     def _parse_bitfield_fields(self, start: int, close: int, bfname: str) -> tuple[BitfieldField, ...]:
+        kinds, texts = self.kinds, self.texts
         fields: list[BitfieldField] = []
         j = start
         while j < close:
-            tok = self.toks[j]
-            if tok.text == ",":
+            if texts[j] == ",":
                 j += 1
                 continue
-            if tok.kind not in ("identifier", "keyword"):
-                raise self._error(f"expected a field name in bitfield {bfname!r}", tok)
-            fname = tok.text
+            if kinds[j] not in ("identifier", "keyword"):
+                raise self._error(f"expected a field name in bitfield {bfname!r}", j)
+            fname = texts[j]
+            name_at = j
             j += 1
-            if j >= close or self.toks[j].text != ":":
-                raise self._error(f"field {fname!r} in bitfield {bfname!r} needs ': hi .. lo'", tok)
+            if j >= close or texts[j] != ":":
+                raise self._error(f"field {fname!r} in bitfield {bfname!r} needs ': hi .. lo'", name_at)
             j += 1
             # range tokens until the next top-level comma
-            span: list[Token] = []
+            span_start = j
             depth = 0
             while j < close:
-                t2 = self.toks[j]
-                if t2.text in _OPENERS:
+                text = texts[j]
+                if text in _OPENERS:
                     depth += 1
-                elif t2.text in _CLOSERS:
+                elif text in _CLOSERS:
                     depth -= 1
-                elif t2.text == "," and depth == 0:
+                elif text == "," and depth == 0:
                     break
-                span.append(t2)
                 j += 1
             nums = [
-                int_literal(t, f"field {fname!r} of bitfield {bfname!r}")
-                for t in span if t.kind == "literal"
+                int_literal(self.stream, x, f"field {fname!r} of bitfield {bfname!r}")
+                for x in range(span_start, j) if kinds[x] == "literal"
             ]
-            if len(nums) >= 2 and any(t.text == ".." for t in span):
+            if len(nums) >= 2 and ".." in texts[span_start:j]:
                 hi, lo = nums[0], nums[1]
             elif len(nums) == 1:
                 hi = lo = nums[0]
@@ -618,94 +643,82 @@ class _UnitParser:
         return tuple(fields)
 
     def _parse_function(self) -> None:
-        head = self.toks[self.i]
+        head = self.i
         self.i += 1
-        tok = self._peek()
-        is_clause = tok is not None and tok.text == "clause"
+        is_clause = self._text() == "clause"
         if is_clause:
             self.i += 1
-        name_tok = self._ident("function definition")
-        if is_clause and name_tok.text == "execute":
+        name = self._ident("function definition")
+        if is_clause and name == "execute":
             self._parse_execute_clause(head)
             return
-        name = name_tok.text
-        tok = self._peek()
         params: tuple[str, ...] = ()
-        if tok is not None and tok.text == "(":
+        if self._text() == "(":
             params, close = self._param_names(self.i)
             self.i = close + 1
-        tok = self._peek()
-        if tok is not None and tok.text == "->":
+        if self._text() == "->":
             self.i += 1
             self._consume_type_expr()
         self._expect("=", f"function {name!r}")
         body = self._consume_body()
-        self.raw_functions.append((name, params, body, head.line))
+        self.raw_functions.append((name, params, body, self._line(head)))
 
-    def _parse_execute_clause(self, head: Token) -> None:
-        tok = self._peek()
-        wrapped = tok is not None and tok.text == "("
+    def _parse_execute_clause(self, head: int) -> None:
+        wrapped = self._text() == "("
         if wrapped:
             self.i += 1
-        name = self._ident("execute clause").text
+        name = self._ident("execute clause")
         operands: tuple[str, ...] = ()
-        tok = self._peek()
-        if tok is not None and tok.text == "(":
+        if self._text() == "(":
             operands, close = self._param_names(self.i)
             self.i = close + 1
         if wrapped:
             self._expect(")", f"execute clause {name!r}")
-        tok = self._peek()
-        if tok is not None and tok.text == "->":
+        if self._text() == "->":
             self.i += 1
             self._consume_type_expr()
         self._expect("=", f"execute clause {name!r}")
         body = self._consume_body()
         if any(c[0] == name for c in self.raw_clauses):
             raise DuplicateDefinition(
-                f"execute clause {name!r} defined twice in one file",
-                head.path, head.line, head.col,
+                f"execute clause {name!r} defined twice in one file", *self.stream.where(head)
             )
-        self.raw_clauses.append((name, operands, body, head.line))
+        self.raw_clauses.append((name, operands, body, self._line(head)))
 
     def _parse_mapping(self) -> None:
         self.i += 1
-        tok = self._peek()
-        if tok is not None and tok.text == "clause":
+        if self._text() == "clause":
             self.i += 1
-            name = self._ident("mapping clause").text
-            tok = self._peek()
-            if tok is not None and tok.text == "=":
+            name = self._ident("mapping clause")
+            if self._text() == "=":
                 self.i += 1
                 entry = self._try_parse_address_entry(name)
                 if entry is not None:
                     self.mappings.append(entry)
                     return
-            self._consume_until_anchor()
-            return
         self._consume_until_anchor()
 
     def _try_parse_address_entry(self, mapping_name: str) -> tuple[str, int, str] | None:
         """LITERAL <-> "name" (either order) or None if shaped differently."""
-        save = self.i
-        a = self._peek()
-        b = self._peek(1)
-        c = self._peek(2)
-        if a is None or b is None or c is None or b.text != "<->":
-            self.i = save
+        a = self.i
+        if a + 2 >= self.n or self.texts[a + 1] != "<->":
             self._consume_until_anchor()
             return None
-        def as_addr(t: Token) -> int | None:
-            if t.kind == "literal" and not t.text.startswith('"'):
-                return int_literal(t, f"mapping clause {mapping_name!r}")
+        kinds, texts = self.kinds, self.texts
+
+        def as_addr(j: int) -> int | None:
+            if kinds[j] == "literal" and not texts[j].startswith('"'):
+                return int_literal(self.stream, j, f"mapping clause {mapping_name!r}")
             return None
-        def as_name(t: Token) -> str | None:
-            if t.kind == "literal" and t.text.startswith('"'):
-                return t.text[1:-1]
+
+        def as_name(j: int) -> str | None:
+            if kinds[j] == "literal" and texts[j].startswith('"'):
+                return texts[j][1:-1]
             return None
-        addr, name = as_addr(a), as_name(c)
+
+        addr, name = as_addr(a), as_name(a + 2)
         if addr is None or name is None:
-            addr, name = as_addr(c), as_name(a)
+            addr, name = as_addr(a + 2), as_name(a)
         self.i += 3
         if addr is None or name is None:
             return None
@@ -713,47 +726,40 @@ class _UnitParser:
 
     def _parse_enum(self) -> None:
         self.i += 1
-        name = self._ident("enum declaration").text
-        tok = self._peek()
-        if tok is not None and tok.text == "=":
+        name = self._ident("enum declaration")
+        if self._text() == "=":
             self.i += 1
-            tok = self._peek()
-        if tok is None or tok.text != "{":
+        if self._text() != "{":
             self._consume_until_anchor()
             return
-        close = _match_close(self.toks, self.i)
+        close = self._close(self.i)
         members = tuple(
-            t.text for t in self.toks[self.i + 1 : close] if t.kind in ("identifier", "keyword")
+            self.texts[j] for j in range(self.i + 1, close)
+            if self.kinds[j] in ("identifier", "keyword")
         )
         self.i = close + 1
         self.enums.append((name, members))
 
     def _parse_type_alias(self) -> None:
         self.i += 1
-        name = self._ident("type alias").text
+        name = self._ident("type alias")
         width: int | None = None
-        tok = self._peek()
-        if tok is not None and tok.text == "=":
+        if self._text() == "=":
             self.i += 1
-            tok = self._peek()
-            if tok is not None and tok.text == "bits":
-                nxt = self._peek(1)
-                if nxt is not None and nxt.text == "(":
-                    close = _match_close(self.toks, self.i + 1)
-                    inner = self.toks[self.i + 2 : close]
-                    if len(inner) == 1 and inner[0].kind == "literal":
-                        width = int_literal(inner[0], f"type alias {name!r}")
-                    self.i = close + 1
-                    self.type_aliases.append((name, width))
-                    return
+            if self._text() == "bits" and self._text(1) == "(":
+                close = self._close(self.i + 1)
+                if close == self.i + 3 and self.kinds[self.i + 2] == "literal":
+                    width = int_literal(self.stream, self.i + 2, f"type alias {name!r}")
+                self.i = close + 1
+                self.type_aliases.append((name, width))
+                return
         self._consume_until_anchor()
         self.type_aliases.append((name, width))
 
     def _parse_val(self) -> None:
         self.i += 1
-        name = self._ident("val declaration").text
-        tok = self._peek()
-        if tok is not None and tok.text == ":":
+        name = self._ident("val declaration")
+        if self._text() == ":":
             self.i += 1
         self._consume_until_anchor()
         self.val_decls.append(name)
@@ -761,21 +767,19 @@ class _UnitParser:
     def _parse_ignored_braced(self) -> None:
         self.i += 1
         self._ident("declaration")
-        tok = self._peek()
-        if tok is not None and tok.text == "=":
+        if self._text() == "=":
             self.i += 1
-            tok = self._peek()
-        if tok is not None and tok.text == "{":
-            self.i = self._skip_balanced_from(self.i)
+        if self._text() == "{":
+            self.i = self._close(self.i) + 1
         else:
             self._consume_until_anchor()
 
     def _parse_opaque(self) -> None:
-        start_tok = self.toks[self.i]
+        head = self.i
         self.i += 1
-        span = self._consume_until_anchor()
-        end_line = span[-1].line if span else start_tok.line
-        self.opaque.append(OpaqueSpan(self.path, start_tok.line, end_line, start_tok.text))
+        self._consume_until_anchor()
+        line = self._line(head)
+        self.opaque.append(OpaqueSpan(self.path, line, self._line(self.i - 1), self.texts[head]))
 
     # -- assembly ----------------------------------------------------------
 
@@ -784,8 +788,9 @@ class _UnitParser:
         bf_map = {b.name: b for b in self.bitfields}
         reg_fields = _register_fields(reg_map, bf_map)
 
-        def body(name: str, params: tuple[str, ...], toks: tuple[Token, ...], line: int) -> Body:
-            return Body(name, params, toks, harvest_body(toks, reg_fields), self.path, line)
+        def body(name: str, params: tuple[str, ...], tokens: Segment, line: int) -> Body:
+            ranges = (tokens,)
+            return Body(name, params, ranges, harvest_body(ranges, reg_fields), self.path, line)
 
         merged: dict[str, Body] = {}
         for raw in self.raw_functions:
@@ -817,12 +822,12 @@ def _merge_decls(prev: Body | None, new: Body) -> Body:
     return replace(
         prev,
         params=prev.params or new.params,
-        body_tokens=prev.body_tokens + new.body_tokens,
+        tokens=prev.tokens + new.tokens,
         harvest=prev.harvest.union(new.harvest),
     )
 
 
-def parse_unit(tokens: list[Token], path: str = "<string>") -> SourceUnit:
+def parse_unit(tokens: Stream, path: str = "<string>") -> SourceUnit:
     """Parse one tokenized file into a SourceUnit."""
     return _UnitParser(tokens, path).parse()
 
@@ -878,7 +883,7 @@ def merge_units(
     reg_fields = _register_fields(registers, bitfields)
 
     def reharvest(decl: Body) -> Body:
-        return replace(decl, harvest=harvest_body(decl.body_tokens, reg_fields))
+        return replace(decl, harvest=harvest_body(decl.tokens, reg_fields))
 
     functions: dict[str, Body] = {}
     clauses: dict[str, Body] = {}

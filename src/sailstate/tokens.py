@@ -1,13 +1,15 @@
 """Tokenizer for the supported Sail subset.
 
-Comments and string literals become single tokens; concatenating the text of
-all tokens plus the skipped whitespace reproduces the input byte for byte.
+`tokenize` returns one `Stream` per file: the kind, text and offset of
+each token as three columns, plus `partner`, which links each `(`, `[` or
+`{` to its closer. Whitespace and comments are not tokens; the gap between
+two consecutive tokens is only whitespace and comments. Line and column
+come from the text, on request, through `Stream.location`.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .errors import UnterminatedComment, UnterminatedStringLiteral
 
@@ -24,41 +26,94 @@ _OPERATORS = [
     "=", "<", ">", "+", "-", "*", "/", "&", "|", "^", "@", "~", "!",
 ]
 
-# One alternation, tried in order at each position: whitespace and comments
-# first, then the tokens, each group named after its token kind, then an
-# unterminated string opener and any other single character. Only
+# Each match is one token: a prefix skips whitespace, line comments and
+# block comments that hold no nested `/*`, then one group, named after its
+# kind, takes the token. A nested block comment stops the scan at its
+# `block_comment` group, and `end` matches at the end of the text. Only
 # whitespace and comments can span a newline; strings exclude `\n`.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r\n]+)
-      | (?P<comment>//[^\n]*)
-      | (?P<block_comment>/\*)
-      | (?P<literal>"(?:[^"\\\n]|\\.)*" | 0x[0-9a-fA-F_]+ | 0b[01_]+ | \d+)
-      | (?P<identifier>'?[A-Za-z_][A-Za-z0-9_']*)
-      | (?P<operator>%s)
-      | (?P<punctuation>[()\[\]{},;:.$\#?`])
-      | (?P<open_string>")
-      | (?P<other>[\s\S])
+    r"""(?: [ \t\r\n]+ | //[^\n]* | /\*[^*/]*(?:(?:/(?!\*)|\*(?!/))[^*/]*)*\*/ )*
+      (?: (?P<identifier>'?[A-Za-z_][A-Za-z0-9_']*)
+        | (?P<open>[(\[{])
+        | (?P<close>[)\]}])
+        | (?P<block_comment>/\*)
+        | (?P<operator>%s)
+        | (?P<punctuation>[,;:.$\#?`])
+        | (?P<literal>"(?:[^"\\\n]|\\.)*" | 0x[0-9a-fA-F_]+ | 0b[01_]+ | \d+)
+        | (?P<end>\Z)
+        | (?P<open_string>")
+        | (?P<other>[\s\S])
+      )
     """ % "|".join(re.escape(op) for op in _OPERATORS),
     re.VERBOSE,
 )
+_GROUP = _TOKEN_RE.groupindex
+_IDENT, _OPEN, _CLOSE = _GROUP["identifier"], _GROUP["open"], _GROUP["close"]
+_BLOCK, _END, _OPEN_STRING = _GROUP["block_comment"], _GROUP["end"], _GROUP["open_string"]
+# Token kind by group number. Brackets are punctuation, and an unknown byte
+# is an operator, so tokenizing stays total.
+_KIND = [""] * (_TOKEN_RE.groups + 1)
+for _name, _index in _GROUP.items():
+    _KIND[_index] = _name
+_KIND[_OPEN] = _KIND[_CLOSE] = "punctuation"
+_KIND[_GROUP["other"]] = "operator"
+
+_BRACKET_TYPE = {"(": 0, "[": 1, "{": 2, ")": 0, "]": 1, "}": 2}
 
 COMPARISON_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
 
 
-class Token(NamedTuple):
-    kind: str  # keyword | identifier | operator | literal | comment | punctuation
-    text: str
-    path: str
-    line: int
-    col: int
-    offset: int
+class Stream:
+    """The tokens of one text, as columns; comments are not tokens.
 
-    @property
-    def location(self) -> tuple[str, int, int]:
-        return (self.path, self.line, self.col)
+    `kinds[i]` is keyword, identifier, operator, literal or punctuation;
+    `texts[i]` is the token's text and `offsets[i]` where it starts.
+    `partner[i]` is the index of the closer of an opening `(`, `[` or `{`,
+    paired with one stack per bracket type, and -1 for an opener with no
+    closer and for every other token. `len()` is the number of tokens.
+    """
 
-    def __repr__(self) -> str:  # compact, for test failure output
-        return f"Token({self.kind} {self.text!r} @{self.line}:{self.col})"
+    __slots__ = ("path", "text", "kinds", "texts", "offsets", "partner", "_mark")
+
+    def __init__(self, path, text, kinds, texts, offsets, partner):
+        self.path = path
+        self.text = text
+        self.kinds = kinds
+        self.texts = texts
+        self.offsets = offsets
+        self.partner = partner
+        self._mark = (0, 1)  # (offset, its line): where the last count stopped
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    # The columns follow from the path and the text, so those decide equality.
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Stream):
+            return NotImplemented
+        return (self.path, self.text) == (other.path, other.text)
+
+    def __hash__(self) -> int:
+        return hash((self.path, self.text))
+
+    def location(self, i: int) -> tuple[int, int]:
+        """(line, col) of token i, both from 1. Counting resumes where the
+        previous call stopped, so calls in text order cost one pass."""
+        offset = self.offsets[i]
+        start, line = self._mark
+        if offset < start:
+            start, line = 0, 1
+        line += self.text.count("\n", start, offset)
+        self._mark = (offset, line)
+        return line, offset - self.text.rfind("\n", 0, offset)
+
+    def where(self, i: int) -> tuple[str, int, int]:
+        """(path, line, col) of token i, for an error message."""
+        return (self.path, *self.location(i))
+
+
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _block_comment_end(text: str, start: int) -> int:
@@ -80,48 +135,53 @@ def _block_comment_end(text: str, start: int) -> int:
     return i
 
 
-def tokenize(text: str, path: str = "<string>") -> list[Token]:
+def pair_brackets(texts: list[str], brackets: list[int] | None = None) -> list[int]:
+    """The `partner` column for `texts`. `brackets` lists the indexes of the
+    bracket tokens when the caller knows them."""
+    if brackets is None:
+        brackets = [j for j, t in enumerate(texts) if t in _BRACKET_TYPE]
+    partner = [-1] * len(texts)
+    stacks: tuple[list[int], ...] = ([], [], [])
+    for j in brackets:
+        t = texts[j]
+        stack = stacks[_BRACKET_TYPE[t]]
+        if t in "([{":
+            stack.append(j)
+        elif stack:
+            partner[stack.pop()] = j
+    return partner
+
+
+def tokenize(text: str, path: str = "<string>") -> Stream:
     """Tokenize Sail source. Raises on unterminated comments or strings."""
-    tokens: list[Token] = []
-    append = tokens.append
-    new_token = tuple.__new__  # Token's own __new__ costs a Python call
-    match = _TOKEN_RE.match
+    kinds: list[str] = []
+    texts: list[str] = []
+    offsets: list[int] = []
+    brackets: list[int] = []
     pos = 0
-    line = 1
-    line_start = 0  # offset of the first character of `line`
-    n = len(text)
-    while pos < n:
-        m = match(text, pos)
-        kind = m.lastgroup
-        end = m.end()
-        if kind == "ws" or kind == "block_comment":
-            if kind == "block_comment":
-                end = _block_comment_end(text, pos)
-                col = pos - line_start + 1
-                if end < 0:
-                    raise UnterminatedComment("unterminated block comment", path, line, col)
-                append(new_token(Token, ("comment", text[pos:end], path, line, col, pos)))
-            newlines = text.count("\n", pos, end)
-            if newlines:
-                line += newlines
-                line_start = text.rfind("\n", pos, end) + 1
-            pos = end
-            continue
-        if kind == "open_string":
-            raise UnterminatedStringLiteral(
-                "unterminated string literal", path, line, pos - line_start + 1
-            )
-        raw = m.group()
-        if kind == "identifier":
-            if raw in KEYWORDS:
-                kind = "keyword"
-        elif kind == "other":
-            kind = "operator"  # an unknown byte; tokenizing stays total
-        append(new_token(Token, (kind, raw, path, line, pos - line_start + 1, pos)))
-        pos = end
-    return tokens
-
-
-def significant(tokens: list[Token]) -> list[Token]:
-    """Drop comment tokens; analysis never looks inside them."""
-    return [t for t in tokens if t.kind != "comment"]
+    while True:
+        # All tokens up to the end or to the next nested block comment.
+        matches = list(_TOKEN_RE.finditer(text, pos))
+        groups = [m.lastindex for m in matches]
+        stop = groups.index(_END)
+        if _BLOCK in groups[:stop]:
+            stop = groups.index(_BLOCK)
+        if _OPEN_STRING in groups[:stop]:
+            at = matches[groups.index(_OPEN_STRING)].start(_OPEN_STRING)
+            raise UnterminatedStringLiteral("unterminated string literal", path, *_line_col(text, at))
+        base = len(texts)
+        found = matches[:stop]
+        new = [m.group(m.lastindex) for m in found]
+        offsets += [m.start(m.lastindex) for m in found]
+        kinds += [
+            _KIND[g] if g != _IDENT else "keyword" if t in KEYWORDS else "identifier"
+            for g, t in zip(groups, new)
+        ]
+        texts += new
+        brackets += [base + j for j, g in enumerate(groups[:stop]) if g == _OPEN or g == _CLOSE]
+        if groups[stop] == _END:
+            return Stream(path, text, kinds, texts, offsets, pair_brackets(texts, brackets))
+        at = matches[stop].start(_BLOCK)
+        pos = _block_comment_end(text, at)
+        if pos < 0:
+            raise UnterminatedComment("unterminated block comment", path, *_line_col(text, at))

@@ -512,6 +512,22 @@ def test_bad_input_files_exit_one_without_traceback(tmp_path, case):
         assert "states.csv:3: duplicate state 'PC'" in proc.stderr
 
 
+def test_long_bad_literal_is_quoted_short(tmp_path):
+    """A 6,000-digit width is past int()'s digit limit. The error names
+    where it is and quotes only the start of the literal."""
+    src = tmp_path / "long.sail"
+    src.write_text("\n\nregister r : bits(" + "9" * 6000 + ")\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sailstate", "scan", "--corpus", str(src), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.encode()) < 200, proc.stderr
+    assert f"{src}:3:19: bad numeric literal '{'9' * 32}'... (6000 characters)" in proc.stderr
+
+
 # Output paths that cannot be written, and the command that writes them.
 UNWRITABLE_OUTPUTS = {
     "scan_out_is_a_file": (["scan"], None),

@@ -21,7 +21,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from sailstate.audit import audit, outcome_to_json, outcome_to_text, parse_manifest
 from sailstate.backend import bundled_backend_path, bundled_corpus_dir, load_backend
@@ -49,8 +49,10 @@ TRACES = FIXTURES / "traces"
 MANIFESTS = sorted((FIXTURES / "audit").glob("*.csv"))
 PAIRS = (("Supervisor", "Supervisor"), ("User", "Machine"))
 
+# Each example runs the whole pipeline, so a failure is reported as found:
+# shrinking a random edit of a corpus would rerun it hundreds of times.
 _SETTINGS = settings(
-    derandomize=True, max_examples=3, deadline=None,
+    derandomize=True, max_examples=3, deadline=None, phases=[Phase.explicit, Phase.generate],
     suppress_health_check=[HealthCheck.too_slow],
 )
 

@@ -195,3 +195,21 @@ def test_lvalue_call_detected():
     fn = m.functions["h"]
     assert "X" in fn.harvest.lvalue_callees
     assert "X" in fn.harvest.callees
+
+
+def test_unbalanced_bracket_names_its_position():
+    path = "tests/fixtures/broken/unbalanced_paren.sail"
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    with pytest.raises(MalformedDeclaration, match=r"^tests/fixtures/broken/unbalanced_paren\.sail:3:37: unbalanced '\('$"):
+        _unit(text, path)
+
+
+def test_merged_bodies_are_read_across_the_seam():
+    # Each body alone calls nothing; joined, `g (x)` is a call of g.
+    model = _model("function h() = g\nfunction h() = (x)\n")
+    assert model.functions["h"].harvest.callees == {"g"}
+    # A bracket left open in the second body is found only when joined,
+    # and the error names where it is.
+    with pytest.raises(MalformedDeclaration, match=r"^u0\.sail:2:16: unbalanced '\('$"):
+        _model("function h() = g\nfunction h() = (x\n")
