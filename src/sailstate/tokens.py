@@ -10,6 +10,7 @@ come from the text, on request, through `Stream.location`.
 from __future__ import annotations
 
 import re
+from array import array
 
 from .errors import UnterminatedComment, UnterminatedStringLiteral
 
@@ -28,14 +29,16 @@ _OPERATORS = [
 
 # Each match is one token: a prefix skips whitespace, line comments and
 # block comments that hold no nested `/*`, then one group, named after its
-# kind, takes the token. A nested block comment stops the scan at its
-# `block_comment` group, and `end` matches at the end of the text. Only
-# whitespace and comments can span a newline; strings exclude `\n`.
+# kind, takes the token. A block comment that nests or never closes stops
+# the scan at its `block_comment` group, and `end` matches at the end of the
+# text. The commonest tokens are tried first; `/*` must come before the
+# operator `/`, `..` before the punctuation `.`, and a closed string before
+# a lone `"`. Only whitespace and comments can span a newline; strings
+# exclude `\n`.
 _TOKEN_RE = re.compile(
     r"""(?: [ \t\r\n]+ | //[^\n]* | /\*[^*/]*(?:(?:/(?!\*)|\*(?!/))[^*/]*)*\*/ )*
       (?: (?P<identifier>'?[A-Za-z_][A-Za-z0-9_']*)
-        | (?P<open>[(\[{])
-        | (?P<close>[)\]}])
+        | (?P<bracket>[()\[\]{}])
         | (?P<block_comment>/\*)
         | (?P<operator>%s)
         | (?P<punctuation>[,;:.$\#?`])
@@ -48,14 +51,14 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 _GROUP = _TOKEN_RE.groupindex
-_IDENT, _OPEN, _CLOSE = _GROUP["identifier"], _GROUP["open"], _GROUP["close"]
-_BLOCK, _END, _OPEN_STRING = _GROUP["block_comment"], _GROUP["end"], _GROUP["open_string"]
+_IDENT, _BLOCK = _GROUP["identifier"], _GROUP["block_comment"]
+_END, _OPEN_STRING = _GROUP["end"], _GROUP["open_string"]
 # Token kind by group number. Brackets are punctuation, and an unknown byte
 # is an operator, so tokenizing stays total.
 _KIND = [""] * (_TOKEN_RE.groups + 1)
 for _name, _index in _GROUP.items():
     _KIND[_index] = _name
-_KIND[_OPEN] = _KIND[_CLOSE] = "punctuation"
+_KIND[_GROUP["bracket"]] = "punctuation"
 _KIND[_GROUP["other"]] = "operator"
 
 _BRACKET_TYPE = {"(": 0, "[": 1, "{": 2, ")": 0, "]": 1, "}": 2}
@@ -67,7 +70,8 @@ class Stream:
     """The tokens of one text, as columns; comments are not tokens.
 
     `kinds[i]` is keyword, identifier, operator, literal or punctuation;
-    `texts[i]` is the token's text and `offsets[i]` where it starts.
+    `texts[i]` is the token's text and `offsets[i]` where it starts; the
+    offsets are an `array` of machine ints, which holds no int objects.
     `partner[i]` is the index of the closer of an opening `(`, `[` or `{`,
     paired with one stack per bracket type, and -1 for an opener with no
     closer and for every other token. `len()` is the number of tokens.
@@ -135,14 +139,11 @@ def _block_comment_end(text: str, start: int) -> int:
     return i
 
 
-def pair_brackets(texts: list[str], brackets: list[int] | None = None) -> list[int]:
-    """The `partner` column for `texts`. `brackets` lists the indexes of the
-    bracket tokens when the caller knows them."""
-    if brackets is None:
-        brackets = [j for j, t in enumerate(texts) if t in _BRACKET_TYPE]
+def pair_brackets(texts: list[str]) -> list[int]:
+    """The `partner` column for `texts`."""
     partner = [-1] * len(texts)
     stacks: tuple[list[int], ...] = ([], [], [])
-    for j in brackets:
+    for j in [j for j, t in enumerate(texts) if t in _BRACKET_TYPE]:
         t = texts[j]
         stack = stacks[_BRACKET_TYPE[t]]
         if t in "([{":
@@ -156,8 +157,7 @@ def tokenize(text: str, path: str = "<string>") -> Stream:
     """Tokenize Sail source. Raises on unterminated comments or strings."""
     kinds: list[str] = []
     texts: list[str] = []
-    offsets: list[int] = []
-    brackets: list[int] = []
+    offsets = array("q")
     pos = 0
     while True:
         # All tokens up to the end or to the next nested block comment.
@@ -169,18 +169,16 @@ def tokenize(text: str, path: str = "<string>") -> Stream:
         if _OPEN_STRING in groups[:stop]:
             at = matches[groups.index(_OPEN_STRING)].start(_OPEN_STRING)
             raise UnterminatedStringLiteral("unterminated string literal", path, *_line_col(text, at))
-        base = len(texts)
         found = matches[:stop]
         new = [m.group(m.lastindex) for m in found]
-        offsets += [m.start(m.lastindex) for m in found]
+        offsets += array("q", [m.start(m.lastindex) for m in found])
         kinds += [
             _KIND[g] if g != _IDENT else "keyword" if t in KEYWORDS else "identifier"
             for g, t in zip(groups, new)
         ]
         texts += new
-        brackets += [base + j for j, g in enumerate(groups[:stop]) if g == _OPEN or g == _CLOSE]
         if groups[stop] == _END:
-            return Stream(path, text, kinds, texts, offsets, pair_brackets(texts, brackets))
+            return Stream(path, text, kinds, texts, offsets, pair_brackets(texts))
         at = matches[stop].start(_BLOCK)
         pos = _block_comment_end(text, at)
         if pos < 0:

@@ -102,7 +102,7 @@ def reconstruct(text: str, stream: Stream) -> str:
     check that every gap is only whitespace and comments."""
     out: list[str] = []
     prev_end = 0
-    for tok_text, offset in zip(stream.texts + [""], stream.offsets + [len(text)]):
+    for tok_text, offset in zip(stream.texts + [""], [*stream.offsets, len(text)]):
         gap = text[prev_end:offset]
         assert all(t[0] == "comment" for t in reference_tokens(gap)), gap
         out.append(gap)
@@ -131,7 +131,7 @@ def test_kinds_and_positions():
         ("operator", "="),
         ("literal", "0x0"),
     ]
-    assert stream.offsets == [0, 9, 14, 16, 39, 41]
+    assert list(stream.offsets) == [0, 9, 14, 16, 39, 41]
     assert stream.location(0) == (1, 1)
     assert stream.location(1) == (1, 10)
     assert stream.where(4) == ("<string>", 1, 40)
