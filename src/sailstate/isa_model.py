@@ -197,13 +197,14 @@ class CsrPermissionRule:
 DEFAULT_PERMISSION_RULE = CsrPermissionRule((9, 8), (11, 10), 0b11)
 
 
-def _param_slices(fn: Body) -> tuple[dict[str, tuple[int, int]], list[tuple[tuple[int, int], int]]]:
-    """Find PARAM[hi .. lo] slices in a function body.
+def _param_slices(
+    fn: Body, toks, start: int, n: int
+) -> tuple[dict[str, tuple[int, int]], list[tuple[tuple[int, int], int]]]:
+    """Find PARAM[hi .. lo] slices in a function body, read as `view` gives it.
 
     Returns let-bound aliases of plain slices, and (slice, value) pairs for
     slices compared against a numeric literal with ==.
     """
-    toks, start, n = view(fn.tokens)
     kinds, texts = toks.kinds, toks.texts
     params = set(fn.params)
     aliases: dict[str, tuple[int, int]] = {}
@@ -245,8 +246,8 @@ def extract_permission_rule(fn: Body) -> CsrPermissionRule:
     literal (the read-only marker). Falls back to the conventional bit
     positions for whichever half is not found.
     """
-    aliases, equality_tests = _param_slices(fn)
     toks, start, n = view(fn.tokens)
+    aliases, equality_tests = _param_slices(fn, toks, start, n)
     kinds, texts = toks.kinds, toks.texts
     min_priv: tuple[int, int] | None = None
     for i in range(start, n):

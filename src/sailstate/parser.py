@@ -26,8 +26,8 @@ _TOP_ANCHORS = frozenset({
     "type", "val", "overload", "scattered", "end",
 })
 
-_OPENERS = {"(": ")", "[": "]", "{": "}"}
-_CLOSERS = {")": "(", "]": "[", "}": "{"}
+_OPENERS = frozenset({"(", "[", "{"})
+_CLOSERS = frozenset({")", "]", "}"})
 
 
 @dataclass(frozen=True)
