@@ -778,8 +778,9 @@ class _UnitParser:
         head = self.i
         self.i += 1
         self._consume_until_anchor()
-        line = self._line(head)
-        self.opaque.append(OpaqueSpan(self.path, line, self._line(self.i - 1), self.texts[head]))
+        self.opaque.append(
+            OpaqueSpan(self.path, self._line(head), self._line(self.i - 1), self.texts[head])
+        )
 
     # -- assembly ----------------------------------------------------------
 
