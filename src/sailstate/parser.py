@@ -28,6 +28,10 @@ _TOP_ANCHORS = frozenset({
 
 _OPENERS = frozenset({"(", "[", "{"})
 _CLOSERS = frozenset({")", "]", "}"})
+# Where a skip to the next anchor stops: an anchor, or a closer that no
+# bracket the skip passed opened.
+_ANCHOR_STOPS = _TOP_ANCHORS | _CLOSERS
+_BRACE_STOPS = _CLOSERS | {"{"}
 
 
 @dataclass(frozen=True)
@@ -196,6 +200,19 @@ def _closer(tokens, j: int, end: int) -> int:
     return close
 
 
+def _first(toks, i: int, end: int, stops) -> int:
+    """Index of the first token from i whose text is in `stops`, or `end`.
+    A bracket that is not a stop is skipped with its group, so nesting is
+    read only from `partner`."""
+    texts = toks.texts
+    while i < end:
+        text = texts[i]
+        if text in stops:
+            return i
+        i = _closer(toks, i, end) + 1 if text in _OPENERS else i + 1
+    return end
+
+
 class _Joined:
     """Token ranges of several streams read as one run, as a merged body is
     read: brackets pair across the seams."""
@@ -237,56 +254,22 @@ def _find_matches(toks, start: int, end: int) -> tuple[MatchInfo, ...]:
         subject = None
         if i + 1 < end and kinds[i] == "identifier" and texts[i + 1] == "{":
             subject = texts[i]
-        brace = None
-        depth = 0
-        for j in range(i, end):
-            txt = texts[j]
-            if txt in "([":
-                depth += 1
-            elif txt in ")]":
-                depth -= 1
-                if depth < 0:
-                    break  # match inside a wider expression list; malformed here
-            elif txt == "{" and depth == 0:
-                brace = j
-                break
-        if brace is None:
+        # A closer before the brace: the match sits in a wider expression.
+        brace = _first(toks, i, end, _BRACE_STOPS)
+        if brace == end or texts[brace] != "{":
             continue
         close = _closer(toks, brace, end)
         arms: list[tuple[str, frozenset[str]]] = []
         k = brace + 1
         while k < close:
-            # pattern tokens until "=>" at local depth 0
-            depth = 0
+            # pattern tokens until "=>", then the body until "," or the brace
             pat_start = k
-            arrow = None
-            while k < close:
-                txt = texts[k]
-                if txt in _OPENERS:
-                    depth += 1
-                elif txt in _CLOSERS:
-                    depth -= 1
-                elif txt == "=>" and depth == 0:
-                    arrow = k
-                    break
-                k += 1
-            if arrow is None:
+            arrow = _first(toks, k, close, ("=>",))
+            if arrow == close:
                 break
-            # body until "," at local depth 0, or the closing brace
-            depth = 0
-            k = arrow + 1
-            body_start = k
-            while k < close:
-                txt = texts[k]
-                if txt in _OPENERS:
-                    depth += 1
-                elif txt in _CLOSERS:
-                    depth -= 1
-                elif txt == "," and depth == 0:
-                    break
-                k += 1
-            body_end = k
-            k += 1  # past the comma
+            body_start = arrow + 1
+            body_end = _first(toks, body_start, close, (",",))
+            k = body_end + 1  # past the comma
             if arrow == pat_start:
                 continue
             called = frozenset(
@@ -447,21 +430,13 @@ class _UnitParser:
             break
 
     def _consume_until_anchor(self) -> int:
-        """Skip to the next top-level keyword at bracket depth 0; returns
-        where the skipped span started."""
-        start = i = self.i
-        kinds, texts = self.kinds, self.texts
-        depth = 0
-        while i < self.n:
-            text = texts[i]
-            if text in _OPENERS:
-                depth += 1
-            elif text in _CLOSERS:
-                depth -= 1
-            elif depth == 0 and kinds[i] == "keyword" and text in _TOP_ANCHORS:
-                break
-            i += 1
-        self.i = i
+        """Skip to the next top-level keyword outside brackets; returns
+        where the skipped span started. Anchors are keywords, so their text
+        alone finds them."""
+        start = self.i
+        self.i = _first(self.stream, start, self.n, _ANCHOR_STOPS)
+        if self._text() in _CLOSERS:
+            raise self._error(f"unbalanced {self.texts[self.i]!r}")
         return start
 
     def _consume_body(self) -> Segment:
@@ -477,19 +452,18 @@ class _UnitParser:
         """Names of comma-separated parameters inside the parens at open_i."""
         close = self._close(open_i)
         names: list[str] = []
-        depth = 0
         expect_name = True
-        for j in range(open_i + 1, close):
+        j = open_i + 1
+        while j < close:
             text = self.texts[j]
             if text in _OPENERS:
-                depth += 1
-            elif text in _CLOSERS:
-                depth -= 1
-            elif depth == 0 and text == ",":
+                j = _closer(self.stream, j, close)
+            elif text == ",":
                 expect_name = True
-            elif depth == 0 and expect_name and self.kinds[j] == "identifier":
+            elif expect_name and self.kinds[j] == "identifier":
                 names.append(text)
                 expect_name = False
+            j += 1
         return tuple(names), close
 
     # -- top-level constructs ----------------------------------------------
@@ -617,18 +591,9 @@ class _UnitParser:
             if j >= close or texts[j] != ":":
                 raise self._error(f"field {fname!r} in bitfield {bfname!r} needs ': hi .. lo'", name_at)
             j += 1
-            # range tokens until the next top-level comma
+            # range tokens until the next comma outside brackets
             span_start = j
-            depth = 0
-            while j < close:
-                text = texts[j]
-                if text in _OPENERS:
-                    depth += 1
-                elif text in _CLOSERS:
-                    depth -= 1
-                elif text == "," and depth == 0:
-                    break
-                j += 1
+            j = _first(self.stream, j, close, (",",))
             nums = [
                 int_literal(self.stream, x, f"field {fname!r} of bitfield {bfname!r}")
                 for x in range(span_start, j) if kinds[x] == "literal"

@@ -5,6 +5,7 @@ import itertools
 import os
 import random
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -37,6 +38,10 @@ from sailstate.traces import STATUS_VIOLATION, load_traces, validate
 from conftest import FIXTURES
 from test_classifier import _entry, _insight, _mini_backend
 from test_footprint import _brute_force, _random_graph
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "perfbench"))
+from corpus import build as build_workload  # noqa: E402
 
 MODES = ("User", "Supervisor", "Machine")
 
@@ -221,45 +226,16 @@ def test_ac7_pipeline_runtime(backend, tmp_path_factory):
     small = time.monotonic() - t0
     assert small < 5.0, f"bundled pipeline took {small:.2f}s"
 
-    big_dir = tmp_path_factory.mktemp("big_corpus")
-    lines = _write_synthetic_corpus(bundled, big_dir, copies=47)
+    # The benchmark's `wide` corpus: disjoint renamed copies of the model.
+    big = build_workload("wide", 1, REPO, tmp_path_factory.mktemp("wide"), copies=47)
+    lines = big.lines
     assert lines >= 25_000
     t0 = time.monotonic()
-    _run_pipeline(sorted(big_dir.glob("*.sail")), backend)
+    _run_pipeline(big.corpus, backend)
     large = time.monotonic() - t0
     assert large < 60.0, f"{lines}-line pipeline took {large:.2f}s"
     _passed(f"7: bundled pipeline {small:.2f}s (< 5s); "
             f"{lines}-line corpus {large:.2f}s (< 60s)")
-
-
-def _write_synthetic_corpus(files, out_dir: Path, copies: int) -> int:
-    """Clone the corpus with per-copy renames so definitions never collide.
-
-    Names the parser treats structurally (execute, ast) and the privilege
-    vocabulary shared with the backend keep their spelling.
-    """
-    model = parse_corpus(files)
-    names = (
-        set(model.registers) | set(model.bitfield_types) | set(model.functions)
-        | set(model.execute_clauses) | set(model.mappings)
-        | set(model.type_aliases) | set(model.val_decls)
-    )
-    names -= {"execute", "ast"}
-    names -= set(model.enums)
-    for members in model.enums.values():
-        names -= set(members)
-    pattern = re.compile(r"\b(" + "|".join(sorted(names, key=len, reverse=True)) + r")\b")
-
-    lines = 0
-    for i in range(copies):
-        suffix = "" if i == 0 else f"_c{i}"
-        for f in files:
-            text = f.read_text()
-            if suffix:
-                text = pattern.sub(lambda m: m.group(0) + suffix, text)
-            (out_dir / f"{f.stem}{suffix}.sail").write_text(text)
-            lines += text.count("\n")
-    return lines
 
 
 # -- 8: optional upstream model census ----------------------------------------------

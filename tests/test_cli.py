@@ -4,7 +4,6 @@ import re
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -13,7 +12,7 @@ from sailstate.backend import bundled_corpus_dir
 from sailstate.cli import build_parser, main
 
 from conftest import FIXTURES
-from test_acceptance import _write_synthetic_corpus
+from test_acceptance import REPO, build_workload
 
 TRACE_MANIFEST = str(FIXTURES / "traces" / "traces.manifest")
 BUG_CORPUS = str(FIXTURES / "corpora" / "bug_mem")
@@ -315,10 +314,7 @@ def test_scan_cyclic_garbage_does_not_grow_with_the_corpus(tmp_path):
     memory a paused command cannot free grows with the corpus. So the
     cyclic garbage of a scan (argparse's own objects) must not depend on how
     many bodies the corpus has."""
-    bundled = sorted(Path(bundled_corpus_dir()).glob("*.sail"))
-    large = tmp_path / "large"
-    large.mkdir()
-    _write_synthetic_corpus(bundled, large, copies=4)
+    large = build_workload("wide", 1, REPO, tmp_path / "large", copies=4).root / "corpus"
     small_garbage = _cyclic_garbage_of_scan(bundled_corpus_dir(), tmp_path / "small_out")
     large_garbage = _cyclic_garbage_of_scan(large, tmp_path / "large_out")
     assert small_garbage == large_garbage
@@ -510,6 +506,26 @@ def test_bad_input_files_exit_one_without_traceback(tmp_path, case):
         assert "empty.csv:2: empty state name" in proc.stderr
     if case == "repeated_states_row":
         assert "states.csv:3: duplicate state 'PC'" in proc.stderr
+
+
+def test_stray_bracket_in_the_corpus_exits_one(tmp_path):
+    """A stray `)` in one mapping clause is an error at that bracket. It
+    must not turn the rest of the file into one span that is dropped, which
+    would hide `csr_access_ok`, `readCSR` and `writeCSR`."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(bundled_corpus_dir(), corpus)
+    regs = corpus / "sys_regs.sail"
+    text = regs.read_text(encoding="utf-8")
+    assert text.count("= 0x180 <->") == 1
+    regs.write_text(text.replace("= 0x180 <->", "= 0x180) <->"), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sailstate", "scan", "--corpus", str(corpus), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"{regs}:82:36: unbalanced ')'" in proc.stderr
 
 
 def test_long_bad_literal_is_quoted_short(tmp_path):

@@ -170,6 +170,7 @@ def test_pinned_cases_cover_every_kind_of_error():
     assert {"MalformedDeclaration", "UnterminatedComment", "UnterminatedStringLiteral"} <= kinds
     assert any(":0:0: " in o for o in outcomes)  # the end-of-file fallback
     assert any("unbalanced" in o for o in outcomes)
+    assert any(o.endswith("unbalanced ')'") for o in outcomes)  # a stray closer
     assert outcomes.count("") > 50
 
 

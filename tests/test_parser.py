@@ -6,8 +6,8 @@ from sailstate.errors import (
     IoError,
     MalformedDeclaration,
 )
-from sailstate.parser import merge_units, parse_corpus, parse_unit
-from sailstate.tokens import tokenize
+from sailstate.parser import _TOP_ANCHORS, merge_units, parse_corpus, parse_unit
+from sailstate.tokens import KEYWORDS, tokenize
 
 
 def _unit(text, path="<test>"):
@@ -205,6 +205,16 @@ def test_unbalanced_bracket_names_its_position():
         _unit(text, path)
 
 
+def test_stray_closer_names_its_position():
+    # At the closer, not at the end of the file, and not by blaming the
+    # function on line 3 as missing.
+    path = "tests/fixtures/broken/stray_paren.sail"
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    with pytest.raises(MalformedDeclaration, match=r"^tests/fixtures/broken/stray_paren\.sail:2:36: unbalanced '\)'$"):
+        _unit(text, path)
+
+
 def test_merged_bodies_are_read_across_the_seam():
     # Each body alone calls nothing; joined, `g (x)` is a call of g.
     model = _model("function h() = g\nfunction h() = (x)\n")
@@ -213,3 +223,28 @@ def test_merged_bodies_are_read_across_the_seam():
     # and the error names where it is.
     with pytest.raises(MalformedDeclaration, match=r"^u0\.sail:2:16: unbalanced '\('$"):
         _model("function h() = g\nfunction h() = (x\n")
+
+
+# Each skip over a bracket group reads nesting from `partner`. One stray or
+# unclosed bracket is an error at that bracket, wherever the skip runs; it
+# must not hide the declarations after it.
+@pytest.mark.parametrize("text, where", [
+    ("let x = f(1))\nregister a : bits(8)\n", "1:13: unbalanced ')'"),
+    ("val f : int -> int]\nfunction f(x) = x\n", "1:19: unbalanced ']'"),
+    ("type regidx = bits()5)\nregister a : bits(8)\n", "1:22: unbalanced ')'"),
+    ('mapping clause csr_name_map = 0x180) <-> "satp"\n', "1:36: unbalanced ')'"),
+    ("$include (prelude.sail\nregister a : bits(8)\n", "1:10: unbalanced '('"),
+    ("function f(x, {y) = x\nfunction g() = x\n", "1:15: unbalanced '{'"),
+    ("bitfield B : bits(8) = { EN : 7 .. (0, X : 1 }\n", "1:36: unbalanced '('"),
+    ("function f(x) = {\n  match x { (A => g(), B => h() }\n}\n", "2:13: unbalanced '('"),
+], ids=["let", "val", "type_alias", "mapping", "opaque", "params", "bitfield_range", "match_arm"])
+def test_unbalanced_bracket_in_each_skip(text, where):
+    with pytest.raises(MalformedDeclaration) as exc:
+        _unit(text, "t.sail")
+    assert str(exc.value) == f"t.sail:{where}"
+
+
+def test_anchors_are_keywords():
+    # A skip finds an anchor by its text alone, which holds only while no
+    # identifier can spell one.
+    assert _TOP_ANCHORS <= KEYWORDS
