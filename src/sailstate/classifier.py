@@ -15,7 +15,7 @@ from . import jsonout
 from .backend import BackendConfig
 from .errors import MalformedLine, UnknownMode, UnknownState
 from .footprint import InstructionInsight
-from .isa_model import ExplicitAccess, StateTable, split_label
+from .isa_model import ExplicitAccess, StateEntry, StateTable, split_label
 
 CLASS_INTEGRITY = "ComputationalIntegrity"
 CLASS_SIDE = "SideChannel"
@@ -110,30 +110,42 @@ def build_access_matrix(
     """Populate the matrix from the implicit footprint labels of executable
     instructions, then derive whole<->field implicit flags one step.
 
-    One pass over the instructions checks each implicit label once and adds
-    it to every mode the instruction runs in. A flag derived from a sibling's
-    original access does not seed further derivation, so one written field
-    never marks its siblings written.
+    Instructions that share a (privileges, implicit reads, implicit writes)
+    triple form one group, which is checked and unioned into the modes it
+    admits once. A group keeps the key of its first instruction in sorted
+    order, so an error names that instruction and the first bad label of
+    its own sets. An instruction that runs in no mode is not checked for
+    unknown labels. A flag derived from a sibling's original access does
+    not seed further derivation, so one written field never marks its
+    siblings written.
     """
     modes = backend.mode_order
     impl_read: dict[str, set[str]] = {m: set() for m in modes}
     impl_write: dict[str, set[str]] = {m: set() for m in modes}
+    groups: dict[tuple[frozenset[str], frozenset[str], frozenset[str]], str] = {}
     for name in sorted(insights):
         ins = insights[name]
-        admitted = [m for m in modes if m in ins.privileges]
+        fp = ins.footprint
+        groups.setdefault((ins.privileges, fp.implicit_reads, fp.implicit_writes), name)
+    known, mode_set = table.entries.keys(), frozenset(modes)
+    for (privileges, reads, writes), name in groups.items():
+        if not privileges <= mode_set:
+            raise UnknownMode(
+                f"instruction {name!r} runs in unknown mode {min(privileges - mode_set)!r}; "
+                f"expected one of {', '.join(modes)}"
+            )
+        admitted = [m for m in modes if m in privileges]
         if not admitted:
             continue
-        for labels, by_mode in (
-            (ins.footprint.implicit_reads, impl_read),
-            (ins.footprint.implicit_writes, impl_write),
-        ):
-            for label in labels:
-                if label not in table:
-                    raise UnknownState(
-                        f"instruction {name!r} references unknown state {label!r}"
-                    )
-                for m in admitted:
-                    by_mode[m].add(label)
+        for labels in (reads, writes):
+            if not known >= labels:
+                label = next(label for label in labels if label not in known)
+                raise UnknownState(
+                    f"instruction {name!r} references unknown state {label!r}"
+                )
+        for m in admitted:
+            impl_read[m] |= reads
+            impl_write[m] |= writes
     derived_read = {m: _derive_whole_field(impl_read[m], table) for m in modes}
     derived_write = {m: _derive_whole_field(impl_write[m], table) for m in modes}
     return AccessMatrix(
@@ -201,11 +213,16 @@ def classify(
     matrix: AccessMatrix,
 ) -> Sensitivity:
     entry = matrix.table.resolve(label)
-    src = matrix.flags(source, label)
-    tgt = matrix.flags(target, label)
+    src, tgt = matrix.flags(source, label), matrix.flags(target, label)
+    return _verdict(entry, source, target, src, tgt)
+
+
+def _verdict(
+    entry: StateEntry, source: str, target: str, src: AccessFlags, tgt: AccessFlags
+) -> Sensitivity:
     classes, rules, justification = _classify_flags(entry.kind, src, tgt)
     return Sensitivity(
-        state=label,
+        state=entry.label,
         kind=entry.kind,
         source=source,
         target=target,
@@ -253,8 +270,16 @@ def classify_all(
             )
     table = matrix.table
     verdicts: dict[str, Sensitivity] = {}
+    # States that the swapped mode pair also makes a side channel.
+    side_back: set[str] = set()
     for label in table.labels():
-        verdicts[label] = classify(label, source, target, matrix)
+        entry = table[label]
+        src = tgt = matrix.flags(source, label)
+        if source != target:
+            tgt = matrix.flags(target, label)
+            if CLASS_SIDE in _classify_flags(entry.kind, tgt, src)[0]:
+                side_back.add(label)
+        verdicts[label] = _verdict(entry, source, target, src, tgt)
 
     # field -> whole escalation
     for label in table.labels():
@@ -283,24 +308,9 @@ def classify_all(
         )
 
     # bidirectional side channels
-    if source != target:
-        for label, v in verdicts.items():
-            if CLASS_SIDE not in v.classes:
-                continue
-            entry = table[label]
-            back_src = matrix.flags(target, label)
-            back_tgt = matrix.flags(source, label)
-            back_classes, _, _ = _classify_flags(entry.kind, back_src, back_tgt)
-            if CLASS_SIDE in back_classes:
-                verdicts[label] = Sensitivity(
-                    **{**v.__dict__, "bidirectional": True}
-                )
-    else:
-        for label, v in verdicts.items():
-            if CLASS_SIDE in v.classes:
-                verdicts[label] = Sensitivity(
-                    **{**v.__dict__, "bidirectional": True}
-                )
+    for label, v in verdicts.items():
+        if CLASS_SIDE in v.classes and (source == target or label in side_back):
+            verdicts[label] = Sensitivity(**{**v.__dict__, "bidirectional": True})
 
     ordered = tuple(verdicts[label] for label in table.labels())
     return SensitivityReport(source=source, target=target, results=ordered)

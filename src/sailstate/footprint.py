@@ -379,8 +379,9 @@ def load_insights_csv(
     if not rows or tuple(rows[0]) != INSIGHTS_COLUMNS:
         raise MalformedLine(f"{path}: expected header {','.join(INSIGHTS_COLUMNS)}")
     # Rows repeat cells (every instruction carries the baseline), so each
-    # distinct cell is expanded once per call.
+    # distinct cell is expanded once per call, and equal cells share one set.
     parsed: dict[str, frozenset[str]] = {}
+    modes: dict[str, frozenset[str]] = {}
 
     def labels(cell: str) -> frozenset[str]:
         if cell not in parsed:
@@ -400,9 +401,11 @@ def load_insights_csv(
             footprint = Footprint(labels(er), labels(ir), labels(ew), labels(iw))
         except MalformedLine as exc:
             raise MalformedLine(f"{path}:{lineno}: {exc}") from None
+        if privs not in modes:
+            modes[privs] = frozenset(privs.split())
         insights[name] = InstructionInsight(
             instruction=name,
-            privileges=frozenset(privs.split()),
+            privileges=modes[privs],
             footprint=footprint,
             externals=frozenset(externals.split()),
         )

@@ -8,6 +8,7 @@ evaluated. Unrecognized top-level constructs become opaque spans.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -222,7 +223,7 @@ class _Joined:
     def __init__(self, ranges: tuple[Segment, ...]):
         self.kinds = [k for r in ranges for k in r.stream.kinds[r.start : r.end]]
         self.texts = [t for r in ranges for t in r.stream.texts[r.start : r.end]]
-        self.partner = pair_brackets(self.texts)
+        self.partner, _ = pair_brackets(self.texts)
         self._ranges = ranges
 
     def where(self, i: int) -> tuple[str, int, int]:
@@ -409,8 +410,19 @@ class _UnitParser:
         self.i += 1
         return int_literal(self.stream, self.i - 1, what)
 
+    def _no_strays(self, start: int, end: int) -> None:
+        """Raise at the first stray closer among tokens start..end-1."""
+        strays = self.stream.strays
+        k = bisect_left(strays, start)
+        if k < len(strays) and strays[k] < end:
+            raise self._error(f"unbalanced {self.texts[strays[k]]!r}", strays[k])
+
     def _close(self, open_i: int) -> int:
-        return _closer(self.stream, open_i, self.n)
+        """Index of the closer of the group at open_i, which holds no stray
+        closer."""
+        close = _closer(self.stream, open_i, self.n)
+        self._no_strays(open_i + 1, close)
+        return close
 
     def _consume_type_expr(self) -> None:
         """A type expression: name or name(...) or (...) tuples, arrows allowed."""
@@ -435,6 +447,7 @@ class _UnitParser:
         alone finds them."""
         start = self.i
         self.i = _first(self.stream, start, self.n, _ANCHOR_STOPS)
+        self._no_strays(start, self.i)
         if self._text() in _CLOSERS:
             raise self._error(f"unbalanced {self.texts[self.i]!r}")
         return start
@@ -741,6 +754,8 @@ class _UnitParser:
 
     def _parse_opaque(self) -> None:
         head = self.i
+        if self.texts[head] in _CLOSERS:
+            raise self._error(f"unbalanced {self.texts[head]!r}")
         self.i += 1
         self._consume_until_anchor()
         self.opaque.append(

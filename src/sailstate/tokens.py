@@ -2,9 +2,10 @@
 
 `tokenize` returns one `Stream` per file: the kind, text and offset of
 each token as three columns, plus `partner`, which links each `(`, `[` or
-`{` to its closer. Whitespace and comments are not tokens; the gap between
-two consecutive tokens is only whitespace and comments. Line and column
-come from the text, on request, through `Stream.location`.
+`{` to its closer, and `strays`, the closers left without an opener.
+Whitespace and comments are not tokens; the gap between two consecutive
+tokens is only whitespace and comments. Line and column come from the
+text, on request, through `Stream.location`.
 """
 
 from __future__ import annotations
@@ -74,18 +75,21 @@ class Stream:
     offsets are an `array` of machine ints, which holds no int objects.
     `partner[i]` is the index of the closer of an opening `(`, `[` or `{`,
     paired with one stack per bracket type, and -1 for an opener with no
-    closer and for every other token. `len()` is the number of tokens.
+    closer and for every other token. `strays` lists, in order, the index of
+    each closer that met no open bracket of its type. `len()` is the number
+    of tokens.
     """
 
-    __slots__ = ("path", "text", "kinds", "texts", "offsets", "partner", "_mark")
+    __slots__ = ("path", "text", "kinds", "texts", "offsets", "partner", "strays", "_mark")
 
-    def __init__(self, path, text, kinds, texts, offsets, partner):
+    def __init__(self, path, text, kinds, texts, offsets, partner, strays):
         self.path = path
         self.text = text
         self.kinds = kinds
         self.texts = texts
         self.offsets = offsets
         self.partner = partner
+        self.strays = strays
         self._mark = (0, 1)  # (offset, its line): where the last count stopped
 
     def __len__(self) -> int:
@@ -139,9 +143,10 @@ def _block_comment_end(text: str, start: int) -> int:
     return i
 
 
-def pair_brackets(texts: list[str]) -> list[int]:
-    """The `partner` column for `texts`."""
+def pair_brackets(texts: list[str]) -> tuple[list[int], list[int]]:
+    """The `partner` column for `texts`, and its stray closers."""
     partner = [-1] * len(texts)
+    strays: list[int] = []
     stacks: tuple[list[int], ...] = ([], [], [])
     for j in [j for j, t in enumerate(texts) if t in _BRACKET_TYPE]:
         t = texts[j]
@@ -150,7 +155,9 @@ def pair_brackets(texts: list[str]) -> list[int]:
             stack.append(j)
         elif stack:
             partner[stack.pop()] = j
-    return partner
+        else:
+            strays.append(j)
+    return partner, strays
 
 
 def tokenize(text: str, path: str = "<string>") -> Stream:
@@ -178,7 +185,7 @@ def tokenize(text: str, path: str = "<string>") -> Stream:
         ]
         texts += new
         if groups[stop] == _END:
-            return Stream(path, text, kinds, texts, offsets, pair_brackets(texts))
+            return Stream(path, text, kinds, texts, offsets, *pair_brackets(texts))
         at = matches[stop].start(_BLOCK)
         pos = _block_comment_end(text, at)
         if pos < 0:

@@ -2,6 +2,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sailstate.backend import BackendConfig
 from sailstate.classifier import (
@@ -150,6 +152,94 @@ def test_matrix_matches_independent_rederivation(insights, explicit, table, matr
             assert ("implicit_read" in flags.derived) == (
                 label in want_read - impl_read
             )
+
+
+_MODES = ("A", "B", "C")
+# r9.Z's register is not a state, so deriving from it adds nothing.
+_STATES = [
+    _entry("r0"), _entry("r0.A", "csr_field", "r0"), _entry("r0.B", "csr_field", "r0"),
+    _entry("r1"), _entry("r2"), _entry("r2.C", "csr_field", "r2"),
+    _entry("r9.Z", "csr_field", "r9"),
+]
+# Known labels three times over, so that most footprints are all known.
+_LABELS = [e.label for e in _STATES] * 3 + ["ghost0", "ghost1"]
+_FOOTPRINT = st.tuples(
+    st.frozensets(st.sampled_from(_MODES)),
+    st.lists(st.sampled_from(_LABELS), unique=True, max_size=4),
+    st.lists(st.sampled_from(_LABELS), unique=True, max_size=4),
+)
+
+
+def _rebuild_per_instruction(insights, table):
+    """Each instruction's labels added one by one to each mode it runs in,
+    then widened one step whole<->field: (read, write) sets per mode, or the
+    UnknownState message for the first unknown label met."""
+    flagged = {m: (set(), set()) for m in _MODES}
+    for name in sorted(insights):
+        ins = insights[name]
+        admitted = [m for m in _MODES if m in ins.privileges]
+        if not admitted:
+            continue
+        fp = ins.footprint
+        for column, labels in enumerate((fp.implicit_reads, fp.implicit_writes)):
+            for label in labels:
+                if label not in table:
+                    return f"instruction {name!r} references unknown state {label!r}"
+                for m in admitted:
+                    flagged[m][column].add(label)
+
+    def widen(labels):
+        out = set(labels)
+        for label in labels:
+            register, _, field = label.partition(".")
+            if not field:
+                out.update(e.label for e in table.fields_of(label))
+            elif register in table:
+                out.add(register)
+        return out
+
+    return {m: tuple((labels, widen(labels)) for labels in sets) for m, sets in flagged.items()}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_grouped_matrix_matches_a_per_instruction_rebuild(data):
+    # A few footprints shared by many instructions, as in a real model.
+    pool = data.draw(st.lists(_FOOTPRINT, min_size=1, max_size=4))
+    names = data.draw(
+        st.lists(st.text("abxy", min_size=1, max_size=3), unique=True, min_size=1, max_size=25)
+    )
+    insights = {}
+    for k, name in enumerate(names):
+        privileges, reads, writes = pool[data.draw(st.integers(0, len(pool) - 1))]
+        # Equal sets built in another order may iterate in another order.
+        order = list if k % 2 else reversed
+        insights[name] = InstructionInsight(
+            instruction=name,
+            privileges=privileges,
+            footprint=Footprint(
+                implicit_reads=frozenset(order(reads)), implicit_writes=frozenset(order(writes))
+            ),
+            externals=frozenset(),
+        )
+    table = StateTable(list(_STATES))
+    empty = {e.label: frozenset() for e in _STATES}
+    explicit = ExplicitAccess(dict(empty), dict(empty))
+    want = _rebuild_per_instruction(insights, table)
+    if isinstance(want, str):
+        with pytest.raises(UnknownState) as exc:
+            build_access_matrix(insights, explicit, table, _mini_backend(_MODES))
+        assert str(exc.value) == want
+        return
+    matrix = build_access_matrix(insights, explicit, table, _mini_backend(_MODES))
+    for mode in _MODES:
+        (read, wide_read), (write, wide_write) = want[mode]
+        for label in table.labels():
+            flags = matrix.flags(mode, label)
+            assert flags.implicit_read == (label in wide_read), (mode, label)
+            assert flags.implicit_write == (label in wide_write), (mode, label)
+            assert ("implicit_read" in flags.derived) == (label in wide_read - read)
+            assert ("implicit_write" in flags.derived) == (label in wide_write - write)
 
 
 def test_derivation_does_not_amplify_siblings():

@@ -422,6 +422,15 @@ def _bad_input_argv(case, tmp_path):
         insights.write_text("\n".join(rows) + "\n")
         return ["classify", "--source", "Machine", "--target", "User",
                 "--insights", str(insights), "--states", str(states)]
+    if case == "insights_unknown_mode":
+        # Saved by a backend with a Hypervisor mode, read with the bundled one.
+        insights = scan / "insights.csv"
+        rows = insights.read_text().splitlines()
+        name, _privileges, rest = rows[3].split(",", 2)
+        rows[3] = ",".join([name, "Supervisor Hypervisor", rest])
+        insights.write_text("\n".join(rows) + "\n")
+        return ["classify", "--source", "Machine", "--target", "User",
+                "--insights", str(insights), "--states", str(states)]
     if case == "missing_manifest":
         return ["audit", "--manifest", str(tmp_path / "gone.csv"),
                 "--source", "Supervisor", "--target", "Supervisor"]
@@ -473,6 +482,7 @@ def _bad_input_argv(case, tmp_path):
     "manifest_range_too_wide",
     "manifest_empty_state",
     "insights_range_too_wide",
+    "insights_unknown_mode",
     "repeated_states_row",
     *FLAGS_IGNORED_BY_REPORT,
     *REPORT_EDITS,
@@ -506,6 +516,8 @@ def test_bad_input_files_exit_one_without_traceback(tmp_path, case):
         assert "empty.csv:2: empty state name" in proc.stderr
     if case == "repeated_states_row":
         assert "states.csv:3: duplicate state 'PC'" in proc.stderr
+    if case == "insights_unknown_mode":
+        assert "runs in unknown mode 'Hypervisor'; expected one of User, Supervisor, Machine" in proc.stderr
 
 
 def test_stray_bracket_in_the_corpus_exits_one(tmp_path):

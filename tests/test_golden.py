@@ -53,6 +53,19 @@ def test_classify_json_matches_golden(tmp_path, source, target):
     assert (tmp_path / "sensitivity.json").read_bytes() == want
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(("source", "target"), PAIRS)
+def test_classify_from_saved_files_matches_golden(tmp_path, source, target, fmt):
+    # The saved scan outputs stand in for the corpus and give the same bytes.
+    saved = GOLDEN / "bundled"
+    argv = ["classify", "--source", source, "--target", target, "--format", fmt,
+            "--insights", str(saved / "insights.csv"), "--states", str(saved / "states.csv")]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    filename = f"sensitivity.{fmt}"
+    want = (GOLDEN / f"classify_{source}_{target}" / filename).read_bytes()
+    assert (tmp_path / filename).read_bytes() == want
+
+
 def test_validate_matches_golden(tmp_path):
     manifest = FIXTURES / "traces" / "traces.manifest"
     assert main(["validate", "--traces", str(manifest), "--out", str(tmp_path)]) == 0

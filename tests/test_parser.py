@@ -237,7 +237,23 @@ def test_merged_bodies_are_read_across_the_seam():
     ("function f(x, {y) = x\nfunction g() = x\n", "1:15: unbalanced '{'"),
     ("bitfield B : bits(8) = { EN : 7 .. (0, X : 1 }\n", "1:36: unbalanced '('"),
     ("function f(x) = {\n  match x { (A => g(), B => h() }\n}\n", "2:13: unbalanced '('"),
-], ids=["let", "val", "type_alias", "mapping", "opaque", "params", "bitfield_range", "match_arm"])
+    # A stray closer inside a group skipped whole, such as a braced body,
+    # is found too. A stray `}` in a match block would otherwise end the
+    # block early and drop the later arms, and with them the modes they admit;
+    # the error names the `}` left over when the braces pair, the last one.
+    ("function f(x) = { match x { A => g(), } B => h() } }", "1:52: unbalanced '}'"),
+    ("function f(x) = { g(x)) }", "1:23: unbalanced ')'"),
+    (
+        "function f() = { match cur_privilege "
+        "{ User => handle_illegal(), } Supervisor => x(), Machine => y() } }",
+        "1:104: unbalanced '}'",
+    ),
+    ("union u = { A : bits(1)) }", "1:24: unbalanced ')'"),
+    ("function f() = g(x])\nfunction k() = 1\n", "1:19: unbalanced ']'"),
+], ids=[
+    "let", "val", "type_alias", "mapping", "opaque", "params", "bitfield_range", "match_arm",
+    "match_block", "call", "privilege_guard", "union", "expression_body",
+])
 def test_unbalanced_bracket_in_each_skip(text, where):
     with pytest.raises(MalformedDeclaration) as exc:
         _unit(text, "t.sail")

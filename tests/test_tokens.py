@@ -190,6 +190,7 @@ def test_partner_pairs_each_bracket_type_on_its_own():
     stream = tokenize("f ( ] ) { [ } ] (")
     assert stream.partner == [-1, 3, -1, -1, 6, 7, -1, -1, -1]
     assert stream.partner == brute_partner(stream.texts)
+    assert stream.strays == [2]
 
 
 def test_length_is_the_significant_token_count(corpus_paths):
@@ -259,7 +260,11 @@ def test_partner_matches_a_rescan_per_bracket_type(parts):
         stream = tokenize(text)
     except (UnterminatedComment, UnterminatedStringLiteral):
         return
-    assert stream.partner == brute_partner(stream.texts)
+    partner = brute_partner(stream.texts)
+    assert stream.partner == partner
+    assert stream.strays == [
+        j for j, t in enumerate(stream.texts) if t in ")]}" and j not in partner
+    ]
 
 
 @pytest.mark.parametrize("text, error, where", [
