@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .backend import BackendConfig, BankSpec
 from .errors import MalformedLine, UnknownCsrAddress, UnknownState
-from .parser import Body, Harvest, SailModel, int_literal, view
+from .parser import Body, Harvest, SailModel, Segment, int_literal
 
 
 def state_label(register: str, field: str | None = None) -> str:
@@ -198,13 +198,14 @@ DEFAULT_PERMISSION_RULE = CsrPermissionRule((9, 8), (11, 10), 0b11)
 
 
 def _param_slices(
-    fn: Body, toks, start: int, n: int
+    fn: Body, clause: Segment
 ) -> tuple[dict[str, tuple[int, int]], list[tuple[tuple[int, int], int]]]:
-    """Find PARAM[hi .. lo] slices in a function body, read as `view` gives it.
+    """Find PARAM[hi .. lo] slices in one clause of a function body.
 
     Returns let-bound aliases of plain slices, and (slice, value) pairs for
     slices compared against a numeric literal with ==.
     """
+    toks, start, n = clause
     kinds, texts = toks.kinds, toks.texts
     params = set(fn.params)
     aliases: dict[str, tuple[int, int]] = {}
@@ -241,23 +242,26 @@ def _param_slices(
 def extract_permission_rule(fn: Body) -> CsrPermissionRule:
     """Recover the address-bit policy from a permission-check function.
 
-    Looks for a let-bound address slice used in an order comparison (the
-    minimum privilege level) and an address slice equality-tested against a
-    literal (the read-only marker). Falls back to the conventional bit
-    positions for whichever half is not found.
+    Looks for a let-bound address slice used in an order comparison in the
+    same clause (the minimum privilege level) and an address slice
+    equality-tested against a literal (the read-only marker). Falls back to
+    the conventional bit positions for whichever half is not found.
     """
-    toks, start, n = view(fn.tokens)
-    aliases, equality_tests = _param_slices(fn, toks, start, n)
-    kinds, texts = toks.kinds, toks.texts
     min_priv: tuple[int, int] | None = None
-    for i in range(start, n):
-        if kinds[i] == "operator" and texts[i] in (">=", "<=", ">", "<"):
-            for j in (i - 1, i + 1):
-                if start <= j < n and kinds[j] == "identifier" and texts[j] in aliases:
-                    min_priv = aliases[texts[j]]
-                    break
+    equality_tests: list[tuple[tuple[int, int], int]] = []
+    for clause in fn.tokens:
+        aliases, tests = _param_slices(fn, clause)
+        equality_tests += tests
+        toks, start, n = clause
+        kinds, texts = toks.kinds, toks.texts
+        for i in range(start, n):
             if min_priv is not None:
                 break
+            if kinds[i] == "operator" and texts[i] in (">=", "<=", ">", "<"):
+                for j in (i - 1, i + 1):
+                    if start <= j < n and kinds[j] == "identifier" and texts[j] in aliases:
+                        min_priv = aliases[texts[j]]
+                        break
     read_only = equality_tests[0] if equality_tests else None
     if min_priv is None and read_only is None:
         warnings.warn(
@@ -445,23 +449,27 @@ def _successor(digits: str) -> str:
 
 
 def compress_labels(labels) -> list[str]:
-    """Collapse runs of consecutive numeric-suffix labels into 'x0..x31'."""
-    ordered = sorted(set(labels), key=natural_key)
+    """Collapse runs of consecutive numeric-suffix labels into 'x0..x31'.
+
+    An index with leading zeros, as in `x01`, joins no run, because
+    expand_label_range spells every index without them. Labels whose keys
+    tie, as `x1` and `x01` do, keep their string order."""
+    ordered = sorted(sorted(set(labels)), key=natural_key)
     out: list[str] = []
     i = 0
     while i < len(ordered):
         m = _SUFFIX_RE.match(ordered[i])
-        if m is None:
+        if m is None or m.group(2) != (m.group(2).lstrip("0") or "0"):
             out.append(ordered[i])
             i += 1
             continue
-        prefix, start = m.group(1), m.group(2).lstrip("0") or "0"
+        prefix, start = m.group(1), m.group(2)
         j = i
         cur = start
         while j + 1 < len(ordered):
             m2 = _SUFFIX_RE.match(ordered[j + 1])
             nxt = _successor(cur)
-            if m2 is None or m2.group(1) != prefix or m2.group(2).lstrip("0") != nxt:
+            if m2 is None or m2.group(1) != prefix or m2.group(2) != nxt:
                 break
             cur = nxt
             j += 1

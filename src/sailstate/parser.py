@@ -18,7 +18,7 @@ from .errors import (
     IoError,
     MalformedDeclaration,
 )
-from .tokens import COMPARISON_OPS, Stream, pair_brackets, tokenize
+from .tokens import COMPARISON_OPS, Stream, tokenize
 
 # Keywords that can start a new top-level construct. Used to end open-ended
 # spans (val signatures, expression bodies, opaque regions).
@@ -117,7 +117,8 @@ class Body:
 
     A clause's name is its instruction; a function's params are those of the
     first of its clauses that has any. `tokens` holds one range per clause,
-    in the order they merged; `view` reads them as one run.
+    in the order they merged, and each is read on its own: `harvest` is the
+    union of the clauses' harvests.
     """
 
     name: str
@@ -179,10 +180,8 @@ def _register_fields(
     return table
 
 
-def int_literal(tokens, i: int, what: str) -> int:
-    """Value of numeric literal token i (decimal, 0x or 0b; `_` separators).
-
-    `tokens` is a `Stream` or a `view` of merged bodies."""
+def int_literal(tokens: Stream, i: int, what: str) -> int:
+    """Value of numeric literal token i (decimal, 0x or 0b; `_` separators)."""
     text = tokens.texts[i]
     try:
         return int(text.replace("_", ""), 0)
@@ -193,7 +192,7 @@ def int_literal(tokens, i: int, what: str) -> int:
         ) from None
 
 
-def _closer(tokens, j: int, end: int) -> int:
+def _closer(tokens: Stream, j: int, end: int) -> int:
     """Index of the token closing bracket j, which must come before `end`."""
     close = tokens.partner[j]
     if close < 0 or close >= end:
@@ -201,7 +200,7 @@ def _closer(tokens, j: int, end: int) -> int:
     return close
 
 
-def _first(toks, i: int, end: int, stops) -> int:
+def _first(toks: Stream, i: int, end: int, stops) -> int:
     """Index of the first token from i whose text is in `stops`, or `end`.
     A bracket that is not a stop is skipped with its group, so nesting is
     read only from `partner`."""
@@ -214,35 +213,7 @@ def _first(toks, i: int, end: int, stops) -> int:
     return end
 
 
-class _Joined:
-    """Token ranges of several streams read as one run, as a merged body is
-    read: brackets pair across the seams."""
-
-    __slots__ = ("kinds", "texts", "partner", "_ranges")
-
-    def __init__(self, ranges: tuple[Segment, ...]):
-        self.kinds = [k for r in ranges for k in r.stream.kinds[r.start : r.end]]
-        self.texts = [t for r in ranges for t in r.stream.texts[r.start : r.end]]
-        self.partner, _ = pair_brackets(self.texts)
-        self._ranges = ranges
-
-    def where(self, i: int) -> tuple[str, int, int]:
-        for stream, start, end in self._ranges:
-            if i < end - start:
-                return stream.where(start + i)
-            i -= end - start
-        raise IndexError(i)
-
-
-def view(ranges: tuple[Segment, ...]) -> tuple[Stream | _Joined, int, int]:
-    """(tokens, start, end): a body's token ranges as one run to read."""
-    if len(ranges) == 1:
-        return ranges[0]
-    joined = _Joined(ranges)
-    return joined, 0, len(joined.texts)
-
-
-def _find_matches(toks, start: int, end: int) -> tuple[MatchInfo, ...]:
+def _find_matches(toks: Stream, start: int, end: int) -> tuple[MatchInfo, ...]:
     kinds, texts = toks.kinds, toks.texts
     out: list[MatchInfo] = []
     i = start
@@ -283,12 +254,10 @@ def _find_matches(toks, start: int, end: int) -> tuple[MatchInfo, ...]:
     return tuple(out)
 
 
-def harvest_body(
-    ranges: tuple[Segment, ...],
-    reg_fields: dict[str, frozenset[str]],
-) -> Harvest:
-    """Token-pattern extraction of register accesses, calls, and comparisons."""
-    toks, start, n = view(ranges)
+def harvest_body(clause: Segment, reg_fields: dict[str, frozenset[str]]) -> Harvest:
+    """Token-pattern extraction of register accesses, calls, and comparisons
+    from one clause's tokens."""
+    toks, start, n = clause
     kinds, texts = toks.kinds, toks.texts
     reads: set[tuple[str, str | None]] = set()
     writes: set[tuple[str, str | None]] = set()
@@ -694,6 +663,7 @@ class _UnitParser:
                 return texts[j][1:-1]
             return None
 
+        self._no_strays(a, a + 3)
         addr, name = as_addr(a), as_name(a + 2)
         if addr is None or name is None:
             addr, name = as_addr(a + 2), as_name(a)
@@ -754,12 +724,13 @@ class _UnitParser:
 
     def _parse_opaque(self) -> None:
         head = self.i
-        if self.texts[head] in _CLOSERS:
-            raise self._error(f"unbalanced {self.texts[head]!r}")
-        self.i += 1
+        text = self.texts[head]
+        if text in _CLOSERS:
+            raise self._error(f"unbalanced {text!r}")
+        self.i = self._close(head) + 1 if text in _OPENERS else head + 1
         self._consume_until_anchor()
         self.opaque.append(
-            OpaqueSpan(self.path, self._line(head), self._line(self.i - 1), self.texts[head])
+            OpaqueSpan(self.path, self._line(head), self._line(self.i - 1), text)
         )
 
     # -- assembly ----------------------------------------------------------
@@ -770,19 +741,17 @@ class _UnitParser:
         reg_fields = _register_fields(reg_map, bf_map)
 
         def body(name: str, params: tuple[str, ...], tokens: Segment, line: int) -> Body:
-            ranges = (tokens,)
-            return Body(name, params, ranges, harvest_body(ranges, reg_fields), self.path, line)
+            return Body(name, params, (tokens,), harvest_body(tokens, reg_fields), self.path, line)
 
-        merged: dict[str, Body] = {}
-        for raw in self.raw_functions:
-            merged[raw[0]] = _merge_decls(merged.get(raw[0]), body(*raw))
+        # One Body per clause; merge_units joins same-name clauses.
+        functions = sorted((body(*raw) for raw in self.raw_functions), key=lambda b: b.name)
         clauses = {raw[0]: body(*raw) for raw in self.raw_clauses}
 
         return SourceUnit(
             path=self.path,
             registers=tuple(self.registers),
             bitfield_types=tuple(self.bitfields),
-            functions=tuple(merged[k] for k in sorted(merged)),
+            functions=tuple(functions),
             execute_clauses=tuple(clauses[k] for k in sorted(clauses)),
             mappings=tuple(self.mappings),
             enums=tuple(self.enums),
@@ -795,8 +764,9 @@ class _UnitParser:
 def _merge_decls(prev: Body | None, new: Body) -> Body:
     """Join `new` onto an earlier same-name definition `prev`, if there is one.
 
-    Bodies concatenate and harvests union; this is how scattered and
-    overloaded functions, and repeated execute clauses when asked, combine.
+    The clauses' token ranges are kept side by side and their harvests
+    union; this is how scattered and overloaded functions, and repeated
+    execute clauses when asked, combine.
     """
     if prev is None:
         return new
@@ -864,7 +834,8 @@ def merge_units(
     reg_fields = _register_fields(registers, bitfields)
 
     def reharvest(decl: Body) -> Body:
-        return replace(decl, harvest=harvest_body(decl.tokens, reg_fields))
+        (clause,) = decl.tokens  # a unit holds one Body per clause
+        return replace(decl, harvest=harvest_body(clause, reg_fields))
 
     functions: dict[str, Body] = {}
     clauses: dict[str, Body] = {}

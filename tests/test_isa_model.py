@@ -333,4 +333,29 @@ def test_label_keys_take_long_and_non_ascii_digits():
     assert sorted(["x10", long_label, "x9"], key=natural_key) == ["x9", "x10", long_label]
     assert compress_labels([long_label, "x1" + "0" * 5000]) == [f"{long_label}..x1{'0' * 5000}"]
     assert compress_labels(["a1²", "a1", "a2"]) == ["a1", "a1²", "a2"]
-    assert compress_labels(["x007", "x8"]) == ["x7..x8"]
+    assert compress_labels(["x007", "x8"]) == ["x007", "x8"]
+
+
+def test_zero_padded_labels_join_no_range():
+    assert compress_labels(["r01", "r02"]) == ["r01", "r02"]
+    assert compress_labels(["a09", "a10", "a11"]) == ["a09", "a10..a11"]
+    assert compress_labels(["x0", "x1", "x2"]) == ["x0..x2"]
+    # Tied keys keep string order, whatever order the set iterates in.
+    assert compress_labels(["x1", "x2", "x00", "x0"]) == ["x0", "x00", "x1..x2"]
+    assert compress_labels(["r2", "r1", "r01"]) == ["r01", "r1..r2"]
+
+
+# Each index value appears once, with 0-2 leading zeros, so no two labels
+# have equal sort keys and the sorted list is the one order to give back.
+@settings(derandomize=True)
+@given(st.dictionaries(
+    st.tuples(st.sampled_from(["r", "a", "x.f"]), st.integers(min_value=0, max_value=40)),
+    st.integers(min_value=0, max_value=2),
+    max_size=40,
+))
+def test_compress_expand_round_trip_with_zero_padding(padding):
+    labels = sorted(
+        (f"{prefix}{'0' * pad}{n}" for (prefix, n), pad in padding.items()), key=natural_key
+    )
+    expanded = [x for item in compress_labels(labels) for x in expand_label_range(item)]
+    assert expanded == labels

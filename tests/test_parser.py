@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from sailstate.errors import (
@@ -6,6 +8,7 @@ from sailstate.errors import (
     IoError,
     MalformedDeclaration,
 )
+from sailstate.isa_model import CsrPermissionRule, extract_permission_rule
 from sailstate.parser import _TOP_ANCHORS, merge_units, parse_corpus, parse_unit
 from sailstate.tokens import KEYWORDS, tokenize
 
@@ -120,6 +123,14 @@ def test_opaque_spans_captured_not_fatal():
     assert "NOPPY" in m.execute_clauses
 
 
+def test_opaque_span_headed_by_an_opener():
+    # The head's group is skipped whole, so its closer is not taken for a
+    # stray one.
+    unit = _unit("(a) register r : bits(8)\n", "t.sail")
+    assert [(s.head, s.start_line, s.end_line) for s in unit.opaque_spans] == [("(", 1, 1)]
+    assert [r.name for r in unit.registers] == ["r"]
+
+
 # -- duplicates and errors ----------------------------------------------------
 
 def test_duplicate_register_same_unit():
@@ -216,13 +227,59 @@ def test_stray_closer_names_its_position():
 
 
 def test_merged_bodies_are_read_across_the_seam():
-    # Each body alone calls nothing; joined, `g (x)` is a call of g.
+    # Each clause is read on its own: `g` ends one body and `(x)` starts the
+    # next, so no call of g spans the seam.
     model = _model("function h() = g\nfunction h() = (x)\n")
-    assert model.functions["h"].harvest.callees == {"g"}
-    # A bracket left open in the second body is found only when joined,
-    # and the error names where it is.
+    assert model.functions["h"].harvest.callees == set()
+    # A bracket left open in the second body is an error that names where
+    # it is.
     with pytest.raises(MalformedDeclaration, match=r"^u0\.sail:2:16: unbalanced '\('$"):
         _model("function h() = g\nfunction h() = (x\n")
+
+
+def test_a_unit_holds_one_body_per_clause():
+    unit = _unit("function h() = g\nfunction a() = 1\nfunction h(x) = (x)\n")
+    assert [(f.name, f.params) for f in unit.functions] == [("a", ()), ("h", ()), ("h", ("x",))]
+    assert all(len(f.tokens) == 1 for f in unit.functions)
+
+
+# Two clauses of one function, then the same clauses in two files: the
+# merged body is the union of its clauses however the files are laid out.
+@pytest.mark.parametrize("first, second", [
+    ("function h() = g", "function h() = (x)"),
+    (
+        "function ok(addr) = { let lvl = addr[5 .. 4]; addr[11 .. 10] == 0b11 }",
+        "function ok(addr) = { lvl >= cur }",
+    ),
+], ids=["seam", "alias"])
+def test_merged_body_does_not_depend_on_file_layout(first, second):
+    one_file = _model(f"{first}\n{second}\n")
+    two_files = _model(first, second)
+    (name,) = one_file.functions
+    merged, split = one_file.functions[name], two_files.functions[name]
+    assert len(merged.tokens) == len(split.tokens) == 2
+    assert merged.harvest == split.harvest
+    assert _rule(merged) == _rule(split)
+
+
+def _rule(fn):
+    """extract_permission_rule's result and the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rule = extract_permission_rule(fn)
+    return rule, [str(w.message) for w in caught]
+
+
+def test_an_alias_counts_only_inside_its_clause():
+    # The slice bound to `lvl` in one clause is not what `lvl >=` compares in
+    # the other, so the minimum level keeps the conventional bits.
+    model = _model(
+        "function ok(addr) = { let lvl = addr[5 .. 4]; addr[11 .. 10] == 0b11 }\n"
+        "function ok(addr) = { lvl >= cur }\n"
+    )
+    assert extract_permission_rule(model.functions["ok"]) == CsrPermissionRule((9, 8), (11, 10), 3)
+    same_clause = _model("function ok(addr) = { let lvl = addr[5 .. 4]; lvl >= cur }\n")
+    assert extract_permission_rule(same_clause.functions["ok"]).min_priv_slice == (5, 4)
 
 
 # Each skip over a bracket group reads nesting from `partner`. One stray or
@@ -249,10 +306,11 @@ def test_merged_bodies_are_read_across_the_seam():
         "1:104: unbalanced '}'",
     ),
     ("union u = { A : bits(1)) }", "1:24: unbalanced ')'"),
+    ("mapping clause m = 0x1 <-> )\nregister r : bits(8)\n", "1:28: unbalanced ')'"),
     ("function f() = g(x])\nfunction k() = 1\n", "1:19: unbalanced ']'"),
 ], ids=[
     "let", "val", "type_alias", "mapping", "opaque", "params", "bitfield_range", "match_arm",
-    "match_block", "call", "privilege_guard", "union", "expression_body",
+    "match_block", "call", "privilege_guard", "union", "address_entry", "expression_body",
 ])
 def test_unbalanced_bracket_in_each_skip(text, where):
     with pytest.raises(MalformedDeclaration) as exc:
