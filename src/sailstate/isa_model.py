@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .backend import BackendConfig, BankSpec
 from .errors import MalformedLine, UnknownCsrAddress, UnknownState
 from .parser import Body, Harvest, SailModel, Segment, int_literal
+from .tokens import COMPARISON_OPS
 
 
 def state_label(register: str, field: str | None = None) -> str:
@@ -38,12 +39,14 @@ def natural_key(label: str):
     """Sort key that orders x2 before x10.
 
     A run of ASCII digits compares by value as (length, digits) without its
-    leading zeros, so it needs no int() and any label has a key."""
+    leading zeros, so it needs no int() and any label has a key. Labels that
+    differ only in leading zeros, as `x1` and `x01` do, tie on those parts
+    and break the tie on the label itself, so the order is total."""
     parts: list = _DIGIT_RUN.split(label)
     for i in range(1, len(parts), 2):
         digits = parts[i].lstrip("0")
         parts[i] = (len(digits), digits)
-    return tuple(parts)
+    return tuple(parts), label
 
 
 @dataclass(frozen=True)
@@ -360,23 +363,12 @@ def derive_explicit_access(
 
 
 def _admitted(op: str, mode: str, cur_on_left: bool, order: tuple[str, ...]) -> frozenset[str]:
-    idx = order.index(mode)
-    if op == "==":
-        return frozenset({mode})
-    if op == "!=":
-        return frozenset(m for m in order if m != mode)
-    if not cur_on_left:
-        flip = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
-        op = flip[op]
-    if op == ">=":
-        return frozenset(m for k, m in enumerate(order) if k >= idx)
-    if op == "<=":
-        return frozenset(m for k, m in enumerate(order) if k <= idx)
-    if op == ">":
-        return frozenset(m for k, m in enumerate(order) if k > idx)
-    if op == "<":
-        return frozenset(m for k, m in enumerate(order) if k < idx)
-    return frozenset()
+    """Modes m for which `cur op mode` holds, or `mode op cur` when the
+    current-privilege register is on the right, comparing positions in order."""
+    cmp, idx = COMPARISON_OPS[op], order.index(mode)
+    return frozenset(
+        m for k, m in enumerate(order) if (cmp(k, idx) if cur_on_left else cmp(idx, k))
+    )
 
 
 def guards_from_harvest(harvest: Harvest, backend: BackendConfig) -> frozenset[str] | None:
@@ -452,9 +444,8 @@ def compress_labels(labels) -> list[str]:
     """Collapse runs of consecutive numeric-suffix labels into 'x0..x31'.
 
     An index with leading zeros, as in `x01`, joins no run, because
-    expand_label_range spells every index without them. Labels whose keys
-    tie, as `x1` and `x01` do, keep their string order."""
-    ordered = sorted(sorted(set(labels)), key=natural_key)
+    expand_label_range spells every index without them."""
+    ordered = sorted(set(labels), key=natural_key)
     out: list[str] = []
     i = 0
     while i < len(ordered):

@@ -1,9 +1,10 @@
 """Pragmatic parser for the supported Sail subset.
 
 Top-level declarations (registers, bitfields, functions, execute clauses,
-address mappings, enums, type aliases, val signatures) are recognized
-structurally; everything inside a body is harvested by token patterns, never
-evaluated. Unrecognized top-level constructs become opaque spans.
+address mappings, type aliases) are recognized structurally; enums, unions,
+structs and val signatures are recognized and skipped. Everything inside a
+body is harvested by token patterns, never evaluated. Unrecognized top-level
+constructs become opaque spans.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ class BitfieldDecl:
     width_alias: str | None    # type-alias name otherwise
     fields: tuple[BitfieldField, ...]
     path: str
-    line: int
 
     def field_names(self) -> frozenset[str]:
         return frozenset(f.name for f in self.fields)
@@ -74,7 +74,6 @@ class RegisterDecl:
     name: str
     rtype: RegisterType
     path: str
-    line: int
 
 
 @dataclass(frozen=True)
@@ -145,9 +144,7 @@ class SourceUnit:
     functions: tuple[Body, ...]
     execute_clauses: tuple[Body, ...]
     mappings: tuple[tuple[str, int, str], ...]  # (mapping name, address, register)
-    enums: tuple[tuple[str, tuple[str, ...]], ...]
     type_aliases: tuple[tuple[str, int | None], ...]
-    val_decls: tuple[str, ...]
     opaque_spans: tuple[OpaqueSpan, ...]
 
 
@@ -160,9 +157,7 @@ class SailModel:
     functions: dict[str, Body]
     execute_clauses: dict[str, Body]
     mappings: dict[str, tuple[tuple[int, str], ...]]
-    enums: dict[str, tuple[str, ...]]
     type_aliases: dict[str, int | None]
-    val_decls: frozenset[str]
     opaque_spans: tuple[OpaqueSpan, ...]
 
     def instructions(self) -> list[str]:
@@ -336,9 +331,7 @@ class _UnitParser:
         self.raw_functions: list[tuple[str, tuple[str, ...], Segment, int]] = []
         self.raw_clauses: list[tuple[str, tuple[str, ...], Segment, int]] = []
         self.mappings: list[tuple[str, int, str]] = []
-        self.enums: list[tuple[str, tuple[str, ...]]] = []
         self.type_aliases: list[tuple[str, int | None]] = []
-        self.val_decls: list[str] = []
         self.opaque: list[OpaqueSpan] = []
 
     # -- small helpers -----------------------------------------------------
@@ -430,12 +423,15 @@ class _UnitParser:
         start = self._consume_until_anchor()
         return Segment(self.stream, start, self.i)
 
-    def _param_names(self, open_i: int) -> tuple[tuple[str, ...], int]:
-        """Names of comma-separated parameters inside the parens at open_i."""
-        close = self._close(open_i)
+    def _params(self) -> tuple[str, ...]:
+        """Names of the comma-separated parameters in the parens that
+        follow, if any; steps past the `)`."""
+        if self._text() != "(":
+            return ()
+        close = self._close(self.i)
         names: list[str] = []
         expect_name = True
-        j = open_i + 1
+        j = self.i + 1
         while j < close:
             text = self.texts[j]
             if text in _OPENERS:
@@ -446,7 +442,16 @@ class _UnitParser:
                 names.append(text)
                 expect_name = False
             j += 1
-        return tuple(names), close
+        self.i = close + 1
+        return tuple(names)
+
+    def _typed_body(self, what: str) -> Segment:
+        """An optional `-> type`, then `=` and the body."""
+        if self._text() == "->":
+            self.i += 1
+            self._consume_type_expr()
+        self._expect("=", what)
+        return self._consume_body()
 
     # -- top-level constructs ----------------------------------------------
 
@@ -462,14 +467,14 @@ class _UnitParser:
             elif text == "mapping":
                 self._parse_mapping()
             elif text == "enum":
-                self._parse_enum()
+                self._parse_ignored_braced("enum declaration")
             elif text == "type":
                 self._parse_type_alias()
             elif text == "val":
                 self._parse_val()
             elif text in ("union", "struct"):
-                self._parse_ignored_braced()
-            elif text == "overload":
+                self._parse_ignored_braced("declaration")
+            elif text in ("overload", "let"):
                 self.i += 1
                 self._consume_until_anchor()
             elif text == "scattered":
@@ -481,9 +486,6 @@ class _UnitParser:
                 self.i += 1
                 if self._named():
                     self.i += 1
-            elif text == "let":
-                self.i += 1
-                self._consume_until_anchor()
             else:
                 self._parse_opaque()
         return self._build_unit()
@@ -498,7 +500,7 @@ class _UnitParser:
             raise DuplicateDefinition(
                 f"register {name!r} declared twice", *self.stream.where(head)
             )
-        self.registers.append(RegisterDecl(name, rtype, self.path, self._line(head)))
+        self.registers.append(RegisterDecl(name, rtype, self.path))
 
     def _parse_register_type(self, regname: str) -> RegisterType:
         if not self._named():
@@ -555,7 +557,7 @@ class _UnitParser:
             raise DuplicateDefinition(
                 f"bitfield {name!r} declared twice", *self.stream.where(head)
             )
-        self.bitfields.append(BitfieldDecl(name, width, alias, fields, self.path, self._line(head)))
+        self.bitfields.append(BitfieldDecl(name, width, alias, fields, self.path))
 
     def _parse_bitfield_fields(self, start: int, close: int, bfname: str) -> tuple[BitfieldField, ...]:
         kinds, texts = self.kinds, self.texts
@@ -599,15 +601,8 @@ class _UnitParser:
         if is_clause and name == "execute":
             self._parse_execute_clause(head)
             return
-        params: tuple[str, ...] = ()
-        if self._text() == "(":
-            params, close = self._param_names(self.i)
-            self.i = close + 1
-        if self._text() == "->":
-            self.i += 1
-            self._consume_type_expr()
-        self._expect("=", f"function {name!r}")
-        body = self._consume_body()
+        params = self._params()
+        body = self._typed_body(f"function {name!r}")
         self.raw_functions.append((name, params, body, self._line(head)))
 
     def _parse_execute_clause(self, head: int) -> None:
@@ -615,17 +610,10 @@ class _UnitParser:
         if wrapped:
             self.i += 1
         name = self._ident("execute clause")
-        operands: tuple[str, ...] = ()
-        if self._text() == "(":
-            operands, close = self._param_names(self.i)
-            self.i = close + 1
+        operands = self._params()
         if wrapped:
             self._expect(")", f"execute clause {name!r}")
-        if self._text() == "->":
-            self.i += 1
-            self._consume_type_expr()
-        self._expect("=", f"execute clause {name!r}")
-        body = self._consume_body()
+        body = self._typed_body(f"execute clause {name!r}")
         if any(c[0] == name for c in self.raw_clauses):
             raise DuplicateDefinition(
                 f"execute clause {name!r} defined twice in one file", *self.stream.where(head)
@@ -672,22 +660,6 @@ class _UnitParser:
             return None
         return (mapping_name, addr, name)
 
-    def _parse_enum(self) -> None:
-        self.i += 1
-        name = self._ident("enum declaration")
-        if self._text() == "=":
-            self.i += 1
-        if self._text() != "{":
-            self._consume_until_anchor()
-            return
-        close = self._close(self.i)
-        members = tuple(
-            self.texts[j] for j in range(self.i + 1, close)
-            if self.kinds[j] in ("identifier", "keyword")
-        )
-        self.i = close + 1
-        self.enums.append((name, members))
-
     def _parse_type_alias(self) -> None:
         self.i += 1
         name = self._ident("type alias")
@@ -706,15 +678,14 @@ class _UnitParser:
 
     def _parse_val(self) -> None:
         self.i += 1
-        name = self._ident("val declaration")
+        self._ident("val declaration")
         if self._text() == ":":
             self.i += 1
         self._consume_until_anchor()
-        self.val_decls.append(name)
 
-    def _parse_ignored_braced(self) -> None:
+    def _parse_ignored_braced(self, what: str) -> None:
         self.i += 1
-        self._ident("declaration")
+        self._ident(what)
         if self._text() == "=":
             self.i += 1
         if self._text() == "{":
@@ -754,9 +725,7 @@ class _UnitParser:
             functions=tuple(functions),
             execute_clauses=tuple(clauses[k] for k in sorted(clauses)),
             mappings=tuple(self.mappings),
-            enums=tuple(self.enums),
             type_aliases=tuple(self.type_aliases),
-            val_decls=tuple(self.val_decls),
             opaque_spans=tuple(self.opaque),
         )
 
@@ -816,20 +785,16 @@ def merge_units(
     registers: dict[str, RegisterDecl] = {}
     bitfields: dict[str, BitfieldDecl] = {}
     for u in units:
-        for r in u.registers:
-            if r.name in registers:
-                raise CrossFileDuplicate(
-                    f"register {r.name!r} declared in both "
-                    f"{registers[r.name].path} and {u.path}"
-                )
-            registers[r.name] = r
-        for b in u.bitfield_types:
-            if b.name in bitfields:
-                raise CrossFileDuplicate(
-                    f"bitfield {b.name!r} declared in both "
-                    f"{bitfields[b.name].path} and {u.path}"
-                )
-            bitfields[b.name] = b
+        for what, decls, seen in (
+            ("register", u.registers, registers),
+            ("bitfield", u.bitfield_types, bitfields),
+        ):
+            for d in decls:
+                if d.name in seen:
+                    raise CrossFileDuplicate(
+                        f"{what} {d.name!r} declared in both {seen[d.name].path} and {u.path}"
+                    )
+                seen[d.name] = d
 
     reg_fields = _register_fields(registers, bitfields)
 
@@ -851,21 +816,14 @@ def merge_units(
                 )
             clauses[c.name] = _merge_decls(clauses.get(c.name), reharvest(c))
 
-    enums: dict[str, tuple[str, ...]] = {}
     mappings: dict[str, list[tuple[int, str]]] = {}
+    type_aliases: dict[str, int | None] = {}
+    opaque: list[OpaqueSpan] = []
     for u in units:
         for mname, addr, reg in u.mappings:
             mappings.setdefault(mname, []).append((addr, reg))
-
-    type_aliases: dict[str, int | None] = {}
-    val_decls: set[str] = set()
-    opaque: list[OpaqueSpan] = []
-    for u in units:
-        for name, members in u.enums:
-            enums.setdefault(name, members)
         for name, width in u.type_aliases:
             type_aliases.setdefault(name, width)
-        val_decls.update(u.val_decls)
         opaque.extend(u.opaque_spans)
 
     return SailModel(
@@ -874,8 +832,6 @@ def merge_units(
         functions={k: functions[k] for k in sorted(functions)},
         execute_clauses={k: clauses[k] for k in sorted(clauses)},
         mappings={k: tuple(sorted(v)) for k, v in sorted(mappings.items())},
-        enums={k: enums[k] for k in sorted(enums)},
         type_aliases={k: type_aliases[k] for k in sorted(type_aliases)},
-        val_decls=frozenset(val_decls),
         opaque_spans=tuple(opaque),
     )

@@ -10,6 +10,7 @@ text, on request, through `Stream.location`.
 
 from __future__ import annotations
 
+import operator
 import re
 from array import array
 
@@ -64,7 +65,11 @@ _KIND[_GROUP["other"]] = "operator"
 
 _BRACKET_TYPE = {"(": 0, "[": 1, "{": 2, ")": 0, "]": 1, "}": 2}
 
-COMPARISON_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
+# Each comparison operator and the function that applies it.
+COMPARISON_OPS = {
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
 
 
 class Stream:

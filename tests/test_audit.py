@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -150,6 +153,35 @@ def test_findings_in_natural_order():
     report = _report(("f2", True), ("f10", True), ("f1", True))
     outcome = audit(parse_manifest(_manifest("f1..f2, swap\nf10, swap\n")), report)
     assert [f.state for f in outcome.findings] == ["f1", "f2", "f10"]
+
+
+def test_tied_labels_audit_alike_under_every_hash_seed(tmp_path):
+    # r1, r01 and r001 differ only in leading zeros. The audit gathers its
+    # labels in a set, whose order the hash seed decides, so the sort key
+    # alone must order them.
+    report = tmp_path / "sensitivity.json"
+    report.write_text(json.dumps({"source": "Supervisor", "target": "Supervisor", "states": [
+        {"state": "r1", "sensitive": True},
+        {"state": "r01", "sensitive": False},
+        {"state": "r001", "sensitive": True},
+    ]}))
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("@pair, Supervisor, Supervisor\nr01, swap, ctx\n")
+    outputs = set()
+    for seed in range(1, 6):
+        out = tmp_path / f"out{seed}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sailstate", "audit", "--report", str(report),
+             "--manifest", str(manifest), "--out", str(out)],
+            env={**os.environ, "PYTHONHASHSEED": str(seed)},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3, proc.stderr
+        outputs.add(tuple((out / name).read_bytes() for name in ("findings.txt", "findings.json")))
+    assert len(outputs) == 1
+    (_, findings_json), = outputs
+    assert [f["state"] for f in json.loads(findings_json)["findings"]] == ["r001", "r01", "r1"]
 
 
 # -- case-study manifests over the bundled corpus ------------------------------

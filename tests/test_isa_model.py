@@ -3,7 +3,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sailstate.backend import load_backend
 from sailstate.errors import BackendConfigError, MalformedLine, UnknownCsrAddress, UnknownState
@@ -240,6 +240,40 @@ def test_guard_forms():
     assert privs["UNGUARDED"] == frozenset({"User", "Supervisor", "Machine"})
 
 
+# Each comparison with the current-privilege register on the left and on the
+# right, and the modes it admits under User < Supervisor < Machine.
+COMPARISON_GUARDS = {
+    "cur_privilege == Supervisor": {"Supervisor"},
+    "cur_privilege != Supervisor": {"User", "Machine"},
+    "cur_privilege < Supervisor": {"User"},
+    "cur_privilege <= Supervisor": {"User", "Supervisor"},
+    "cur_privilege > Supervisor": {"Machine"},
+    "cur_privilege >= Supervisor": {"Supervisor", "Machine"},
+    "Supervisor == cur_privilege": {"Supervisor"},
+    "Supervisor != cur_privilege": {"User", "Machine"},
+    "Supervisor < cur_privilege": {"Machine"},
+    "Supervisor <= cur_privilege": {"Supervisor", "Machine"},
+    "Supervisor > cur_privilege": {"User"},
+    "Supervisor >= cur_privilege": {"User", "Supervisor"},
+}
+
+
+def test_every_comparison_guard_form(tmp_path):
+    backend, _ = _load("guards")
+    guards = list(COMPARISON_GUARDS)
+    corpus = tmp_path / "guards.sail"
+    corpus.write_text(
+        "register cur_privilege : Privilege\nregister gctr : bits(64)\n"
+        "function step() -> unit = { gctr = gctr + 1 }\n"
+        + "".join(
+            f"function clause execute G{k}() = {{ if {guard} then gctr = 1 else handle_illegal() }}\n"
+            for k, guard in enumerate(guards)
+        )
+    )
+    privs = _privileges(parse_corpus([str(corpus)]), backend)
+    assert {guard: privs[f"G{k}"] for k, guard in enumerate(guards)} == COMPARISON_GUARDS
+
+
 # -- label utilities -----------------------------------------------------------
 
 def test_state_label_round_trip():
@@ -304,8 +338,9 @@ def test_compress_expand_round_trip(nums):
 
 
 def _int_natural_key(label):
-    """The int()-based key natural_key replaced; the oracle for ASCII labels."""
-    return tuple(int(p) if p.isdigit() else p for p in re.split(r"(\d+)", label))
+    """The int()-based key natural_key replaced, with ties broken on the
+    label; the oracle for ASCII labels."""
+    return tuple(int(p) if p.isdigit() else p for p in re.split(r"(\d+)", label)), label
 
 
 ascii_label = st.one_of(
@@ -316,6 +351,7 @@ ascii_label = st.one_of(
 
 @settings(derandomize=True)
 @given(st.lists(ascii_label, max_size=20))
+@example(["r1", "r001", "r01"])
 def test_natural_key_orders_ascii_labels_like_int(labels):
     assert sorted(labels, key=natural_key) == sorted(labels, key=_int_natural_key)
 
@@ -340,7 +376,8 @@ def test_zero_padded_labels_join_no_range():
     assert compress_labels(["r01", "r02"]) == ["r01", "r02"]
     assert compress_labels(["a09", "a10", "a11"]) == ["a09", "a10..a11"]
     assert compress_labels(["x0", "x1", "x2"]) == ["x0..x2"]
-    # Tied keys keep string order, whatever order the set iterates in.
+    # Labels that differ only in leading zeros keep string order, whatever
+    # order the set iterates in.
     assert compress_labels(["x1", "x2", "x00", "x0"]) == ["x0", "x00", "x1..x2"]
     assert compress_labels(["r2", "r1", "r01"]) == ["r01", "r1..r2"]
 

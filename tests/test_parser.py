@@ -53,10 +53,6 @@ def test_instruction_clauses(model):
     assert sw.params == ("imm", "rs2", "rs1")
 
 
-def test_enum_and_mode_order(model):
-    assert model.enums["Privilege"] == ("User", "Supervisor", "Machine")
-
-
 def test_externals_are_called_but_undefined(insights):
     externals = set().union(*(ins.externals for ins in insights.values()))
     assert "phys_mem_write" in externals
@@ -129,6 +125,21 @@ def test_opaque_span_headed_by_an_opener():
     unit = _unit("(a) register r : bits(8)\n", "t.sail")
     assert [(s.head, s.start_line, s.end_line) for s in unit.opaque_spans] == [("(", 1, 1)]
     assert [r.name for r in unit.registers] == ["r"]
+
+
+@pytest.mark.parametrize("decl", [
+    "enum Privilege = {User, Supervisor, Machine}",
+    "enum Mode = User | Machine",
+    "val f : (bits(8), int) -> unit",
+    "val g = {c: \"g_impl\"} : bits(8) -> bool",
+    "union U = { A : bits(1), B : (int, int) }",
+    "struct S = { a : bits(8), b : bool }",
+], ids=["enum", "enum_unbraced", "val", "val_extern", "union", "struct"])
+def test_skipped_declarations_leave_no_opaque_span(decl):
+    unit = _unit(decl + "\nregister r : bits(8)\nfunction f(x) = { r = x }\n")
+    assert unit.opaque_spans == ()
+    assert [r.name for r in unit.registers] == ["r"]
+    assert [(f.name, f.params) for f in unit.functions] == [("f", ("x",))]
 
 
 # -- duplicates and errors ----------------------------------------------------
