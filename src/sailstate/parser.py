@@ -5,11 +5,14 @@ address mappings, type aliases) are recognized structurally; enums, unions,
 structs and val signatures are recognized and skipped. Everything inside a
 body is harvested by token patterns, never evaluated. Unrecognized top-level
 constructs become opaque spans.
+
+A file's brackets must nest. `parse_unit` raises at the first bracket that
+does not, as the tokenizer found it, before it reads anything, so the parser
+reads every group's end from `partner` and never stops inside a group.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -29,11 +32,7 @@ _TOP_ANCHORS = frozenset({
 })
 
 _OPENERS = frozenset({"(", "[", "{"})
-_CLOSERS = frozenset({")", "]", "}"})
-# Where a skip to the next anchor stops: an anchor, or a closer that no
-# bracket the skip passed opened.
-_ANCHOR_STOPS = _TOP_ANCHORS | _CLOSERS
-_BRACE_STOPS = _CLOSERS | {"{"}
+_BRACE_STOPS = frozenset({")", "]", "}", "{"})
 
 
 @dataclass(frozen=True)
@@ -187,24 +186,16 @@ def int_literal(tokens: Stream, i: int, what: str) -> int:
         ) from None
 
 
-def _closer(tokens: Stream, j: int, end: int) -> int:
-    """Index of the token closing bracket j, which must come before `end`."""
-    close = tokens.partner[j]
-    if close < 0 or close >= end:
-        raise MalformedDeclaration(f"unbalanced {tokens.texts[j]!r}", *tokens.where(j))
-    return close
-
-
 def _first(toks: Stream, i: int, end: int, stops) -> int:
     """Index of the first token from i whose text is in `stops`, or `end`.
     A bracket that is not a stop is skipped with its group, so nesting is
     read only from `partner`."""
-    texts = toks.texts
+    texts, partner = toks.texts, toks.partner
     while i < end:
         text = texts[i]
         if text in stops:
             return i
-        i = _closer(toks, i, end) + 1 if text in _OPENERS else i + 1
+        i = partner[i] + 1 if text in _OPENERS else i + 1
     return end
 
 
@@ -225,7 +216,7 @@ def _find_matches(toks: Stream, start: int, end: int) -> tuple[MatchInfo, ...]:
         brace = _first(toks, i, end, _BRACE_STOPS)
         if brace == end or texts[brace] != "{":
             continue
-        close = _closer(toks, brace, end)
+        close = toks.partner[brace]
         arms: list[tuple[str, frozenset[str]]] = []
         k = brace + 1
         while k < close:
@@ -267,7 +258,7 @@ def harvest_body(clause: Segment, reg_fields: dict[str, frozenset[str]]) -> Harv
             nxt = texts[i + 1] if i + 1 < n else None
             if name in reg_fields:
                 if nxt == "[":
-                    j = _closer(toks, i + 1, n)
+                    j = toks.partner[i + 1]
                     fieldname = None
                     if j == i + 3 and kinds[i + 2] == "identifier" and texts[i + 2] in reg_fields[name]:
                         fieldname = texts[i + 2]
@@ -294,7 +285,7 @@ def harvest_body(clause: Segment, reg_fields: dict[str, frozenset[str]]) -> Harv
                     reads.add((name, None))
                     i += 1
             elif nxt == "(":
-                j = _closer(toks, i + 1, n)
+                j = toks.partner[i + 1]
                 if j + 1 < n and texts[j + 1] == "=":
                     lcalls.add(name)
                 else:
@@ -323,6 +314,7 @@ class _UnitParser:
         self.stream = stream
         self.kinds = stream.kinds
         self.texts = stream.texts
+        self.partner = stream.partner
         self.n = len(stream)
         self.path = path
         self.i = 0
@@ -372,27 +364,13 @@ class _UnitParser:
         self.i += 1
         return int_literal(self.stream, self.i - 1, what)
 
-    def _no_strays(self, start: int, end: int) -> None:
-        """Raise at the first stray closer among tokens start..end-1."""
-        strays = self.stream.strays
-        k = bisect_left(strays, start)
-        if k < len(strays) and strays[k] < end:
-            raise self._error(f"unbalanced {self.texts[strays[k]]!r}", strays[k])
-
-    def _close(self, open_i: int) -> int:
-        """Index of the closer of the group at open_i, which holds no stray
-        closer."""
-        close = _closer(self.stream, open_i, self.n)
-        self._no_strays(open_i + 1, close)
-        return close
-
     def _consume_type_expr(self) -> None:
         """A type expression: name or name(...) or (...) tuples, arrows allowed."""
         while self.i < self.n:
             text = self.texts[self.i]
             kind = self.kinds[self.i]
             if text in _OPENERS:
-                self.i = self._close(self.i) + 1
+                self.i = self.partner[self.i] + 1
                 continue
             if kind in ("identifier", "keyword") and text in _TOP_ANCHORS:
                 break
@@ -408,19 +386,28 @@ class _UnitParser:
         where the skipped span started. Anchors are keywords, so their text
         alone finds them."""
         start = self.i
-        self.i = _first(self.stream, start, self.n, _ANCHOR_STOPS)
-        self._no_strays(start, self.i)
-        if self._text() in _CLOSERS:
-            raise self._error(f"unbalanced {self.texts[self.i]!r}")
+        self.i = _first(self.stream, start, self.n, _TOP_ANCHORS)
         return start
 
     def _consume_body(self) -> Segment:
         if self._text() == "{":
-            close = self._close(self.i)
+            close = self.partner[self.i]
             body = Segment(self.stream, self.i + 1, close)
             self.i = close + 1
             return body
         start = self._consume_until_anchor()
+        # Each `in` answers the last open `let`. A `let` at the body's own
+        # level that none answers is a top-level one, and the body ends there.
+        lets: list[int] = []
+        j = _first(self.stream, start, self.i, ("let", "in"))
+        while j < self.i:
+            if self.texts[j] == "let":
+                lets.append(j)
+            elif lets:
+                lets.pop()
+            j = _first(self.stream, j + 1, self.i, ("let", "in"))
+        if lets:
+            self.i = lets[0]
         return Segment(self.stream, start, self.i)
 
     def _params(self) -> tuple[str, ...]:
@@ -428,14 +415,14 @@ class _UnitParser:
         follow, if any; steps past the `)`."""
         if self._text() != "(":
             return ()
-        close = self._close(self.i)
+        close = self.partner[self.i]
         names: list[str] = []
         expect_name = True
         j = self.i + 1
         while j < close:
             text = self.texts[j]
             if text in _OPENERS:
-                j = _closer(self.stream, j, close)
+                j = self.partner[j]
             elif text == ",":
                 expect_name = True
             elif expect_name and self.kinds[j] == "identifier":
@@ -510,13 +497,13 @@ class _UnitParser:
         nxt = self._text()
         if base == "bits" and nxt == "(":
             width = None
-            close = self._close(self.i)
+            close = self.partner[self.i]
             if close == self.i + 2 and self.kinds[self.i + 1] == "literal":
                 width = int_literal(self.stream, self.i + 1, f"register {regname!r} width")
             self.i = close + 1
             return RegisterType("bits", width=width)
         if base == "vector" and nxt == "(":
-            close = self._close(self.i)
+            close = self.partner[self.i]
             first, last = self.i + 1, close - 1
             size = None
             elem = None
@@ -527,7 +514,7 @@ class _UnitParser:
             self.i = close + 1
             return RegisterType("vector", size=size, elem=elem)
         if nxt == "(":
-            self.i = self._close(self.i) + 1
+            self.i = self.partner[self.i] + 1
         return RegisterType(base)
 
     def _parse_bitfield(self) -> None:
@@ -550,7 +537,7 @@ class _UnitParser:
         self._expect("=", f"bitfield {name!r}")
         if self._text() != "{":
             raise self._error(f"bitfield {name!r} needs a field block '{{ ... }}'")
-        close = self._close(self.i)
+        close = self.partner[self.i]
         fields = self._parse_bitfield_fields(self.i + 1, close, name)
         self.i = close + 1
         if any(b.name == name for b in self.bitfields):
@@ -637,7 +624,6 @@ class _UnitParser:
         """LITERAL <-> "name" (either order) or None if shaped differently."""
         a = self.i
         if a + 2 >= self.n or self.texts[a + 1] != "<->":
-            self._consume_until_anchor()
             return None
         kinds, texts = self.kinds, self.texts
 
@@ -651,13 +637,12 @@ class _UnitParser:
                 return texts[j][1:-1]
             return None
 
-        self._no_strays(a, a + 3)
         addr, name = as_addr(a), as_name(a + 2)
         if addr is None or name is None:
             addr, name = as_addr(a + 2), as_name(a)
-        self.i += 3
         if addr is None or name is None:
             return None
+        self.i += 3
         return (mapping_name, addr, name)
 
     def _parse_type_alias(self) -> None:
@@ -667,7 +652,7 @@ class _UnitParser:
         if self._text() == "=":
             self.i += 1
             if self._text() == "bits" and self._text(1) == "(":
-                close = self._close(self.i + 1)
+                close = self.partner[self.i + 1]
                 if close == self.i + 3 and self.kinds[self.i + 2] == "literal":
                     width = int_literal(self.stream, self.i + 2, f"type alias {name!r}")
                 self.i = close + 1
@@ -689,16 +674,14 @@ class _UnitParser:
         if self._text() == "=":
             self.i += 1
         if self._text() == "{":
-            self.i = self._close(self.i) + 1
+            self.i = self.partner[self.i] + 1
         else:
             self._consume_until_anchor()
 
     def _parse_opaque(self) -> None:
         head = self.i
         text = self.texts[head]
-        if text in _CLOSERS:
-            raise self._error(f"unbalanced {text!r}")
-        self.i = self._close(head) + 1 if text in _OPENERS else head + 1
+        self.i = self.partner[head] + 1 if text in _OPENERS else head + 1
         self._consume_until_anchor()
         self.opaque.append(
             OpaqueSpan(self.path, self._line(head), self._line(self.i - 1), text)
@@ -748,7 +731,10 @@ def _merge_decls(prev: Body | None, new: Body) -> Body:
 
 
 def parse_unit(tokens: Stream, path: str = "<string>") -> SourceUnit:
-    """Parse one tokenized file into a SourceUnit."""
+    """Parse one tokenized file into a SourceUnit. Its brackets must nest."""
+    bad = tokens.unbalanced
+    if bad >= 0:
+        raise MalformedDeclaration(f"unbalanced {tokens.texts[bad]!r}", *tokens.where(bad))
     return _UnitParser(tokens, path).parse()
 
 

@@ -2,7 +2,7 @@
 
 `tokenize` returns one `Stream` per file: the kind, text and offset of
 each token as three columns, plus `partner`, which links each `(`, `[` or
-`{` to its closer, and `strays`, the closers left without an opener.
+`{` to its closer, and `unbalanced`, the first bracket that breaks nesting.
 Whitespace and comments are not tokens; the gap between two consecutive
 tokens is only whitespace and comments. Line and column come from the
 text, on request, through `Stream.location`.
@@ -80,21 +80,21 @@ class Stream:
     offsets are an `array` of machine ints, which holds no int objects.
     `partner[i]` is the index of the closer of an opening `(`, `[` or `{`,
     paired with one stack per bracket type, and -1 for an opener with no
-    closer and for every other token. `strays` lists, in order, the index of
-    each closer that met no open bracket of its type. `len()` is the number
-    of tokens.
+    closer and for every other token. `unbalanced` is the index of the first
+    bracket, in text order, that breaks nesting, or -1 when the brackets
+    nest. `len()` is the number of tokens.
     """
 
-    __slots__ = ("path", "text", "kinds", "texts", "offsets", "partner", "strays", "_mark")
+    __slots__ = ("path", "text", "kinds", "texts", "offsets", "partner", "unbalanced", "_mark")
 
-    def __init__(self, path, text, kinds, texts, offsets, partner, strays):
+    def __init__(self, path, text, kinds, texts, offsets, partner, unbalanced):
         self.path = path
         self.text = text
         self.kinds = kinds
         self.texts = texts
         self.offsets = offsets
         self.partner = partner
-        self.strays = strays
+        self.unbalanced = unbalanced
         self._mark = (0, 1)  # (offset, its line): where the last count stopped
 
     def __len__(self) -> int:
@@ -148,21 +148,32 @@ def _block_comment_end(text: str, start: int) -> int:
     return i
 
 
-def pair_brackets(texts: list[str]) -> tuple[list[int], list[int]]:
-    """The `partner` column for `texts`, and its stray closers."""
+def pair_brackets(texts: list[str]) -> tuple[list[int], int]:
+    """The `partner` column for `texts`, and the index of the first bracket
+    that breaks nesting, or -1: a closer that pairs with no opener, an opener
+    with no closer, or an opener whose group the closer of an enclosing group
+    cuts, as the `(` in `{ ( } )`."""
     partner = [-1] * len(texts)
-    strays: list[int] = []
     stacks: tuple[list[int], ...] = ([], [], [])
-    for j in [j for j, t in enumerate(texts) if t in _BRACKET_TYPE]:
+    brackets = [j for j, t in enumerate(texts) if t in _BRACKET_TYPE]
+    for j in brackets:
         t = texts[j]
         stack = stacks[_BRACKET_TYPE[t]]
         if t in "([{":
             stack.append(j)
         elif stack:
             partner[stack.pop()] = j
+    # While every bracket before j nests, j nests if it opens a group that
+    # ends inside the innermost open one, or closes that one.
+    ends = [len(texts)]  # the closers of the open groups, innermost last
+    for j in brackets:
+        if 0 <= partner[j] < ends[-1]:
+            ends.append(partner[j])
+        elif ends[-1] == j:
+            ends.pop()
         else:
-            strays.append(j)
-    return partner, strays
+            return partner, j
+    return partner, -1
 
 
 def tokenize(text: str, path: str = "<string>") -> Stream:

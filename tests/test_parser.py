@@ -237,6 +237,15 @@ def test_stray_closer_names_its_position():
         _unit(text, path)
 
 
+def test_unread_opener_names_its_position():
+    # The `[` sits in a braced body where no step reads it.
+    path = "tests/fixtures/broken/unread_opener.sail"
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    with pytest.raises(MalformedDeclaration, match=r"^tests/fixtures/broken/unread_opener\.sail:3:40: unbalanced '\['$"):
+        _unit(text, path)
+
+
 def test_merged_bodies_are_read_across_the_seam():
     # Each clause is read on its own: `g` ends one body and `(x)` starts the
     # next, so no call of g spans the seam.
@@ -293,9 +302,9 @@ def test_an_alias_counts_only_inside_its_clause():
     assert extract_permission_rule(same_clause.functions["ok"]).min_priv_slice == (5, 4)
 
 
-# Each skip over a bracket group reads nesting from `partner`. One stray or
-# unclosed bracket is an error at that bracket, wherever the skip runs; it
-# must not hide the declarations after it.
+# Every file's brackets must nest, also where no step reads them. One stray
+# or unclosed bracket is an error at that bracket, wherever it is; it must
+# not hide the declarations after it.
 @pytest.mark.parametrize("text, where", [
     ("let x = f(1))\nregister a : bits(8)\n", "1:13: unbalanced ')'"),
     ("val f : int -> int]\nfunction f(x) = x\n", "1:19: unbalanced ']'"),
@@ -319,14 +328,43 @@ def test_an_alias_counts_only_inside_its_clause():
     ("union u = { A : bits(1)) }", "1:24: unbalanced ')'"),
     ("mapping clause m = 0x1 <-> )\nregister r : bits(8)\n", "1:28: unbalanced ')'"),
     ("function f() = g(x])\nfunction k() = 1\n", "1:19: unbalanced ']'"),
+    # An opener whose group the closer of an enclosing group cuts is an
+    # error at that opener, and so is one that nothing reads.
+    ("register a : bits(8)\nfunction f() = { let q = [1, 2 }\n", "2:26: unbalanced '['"),
+    ("register a : bits(8)\nfunction f() = { g( } )\n", "2:19: unbalanced '('"),
+    ("let x = ( { ) }\n", "1:11: unbalanced '{'"),
 ], ids=[
     "let", "val", "type_alias", "mapping", "opaque", "params", "bitfield_range", "match_arm",
     "match_block", "call", "privilege_guard", "union", "address_entry", "expression_body",
+    "unread_opener", "crossing_in_body", "crossing_at_top_level",
 ])
 def test_unbalanced_bracket_in_each_skip(text, where):
     with pytest.raises(MalformedDeclaration) as exc:
         _unit(text, "t.sail")
     assert str(exc.value) == f"t.sail:{where}"
+
+
+def test_address_entry_of_another_shape_is_skipped_whole():
+    # The `)` pairs with the `(`: the clause is skipped to the next anchor,
+    # not read from inside the group.
+    unit = _unit("mapping clause m = 0x1 <-> (x)\nregister r : bits(8)\n", "t.sail")
+    assert [r.name for r in unit.registers] == ["r"]
+    assert unit.mappings == ()
+    assert unit.opaque_spans == ()
+
+
+# An unbraced body runs to the next anchor, except that a `let` at its own
+# level that no `in` answers is a top-level declaration and ends it.
+@pytest.mark.parametrize("body, reads", [
+    ("1\nlet y = a", set()),
+    ("let x = a in x", {("a", None)}),
+    ("let x = a in x\nlet y = b", {("a", None)}),
+    ("let x = (let z = b in z) in x\nlet y = a", {("b", None)}),
+], ids=["top_level_let", "let_in", "let_in_then_top_level_let", "nested_let_in"])
+def test_top_level_let_ends_an_unbraced_body(body, reads):
+    model = _model(f"register a : bits(8)\nregister b : bits(8)\nfunction f() = {body}\nfunction g() = {{ 2 }}\n")
+    assert set(model.functions["f"].harvest.reads) == reads
+    assert sorted(model.functions) == ["f", "g"]
 
 
 def test_anchors_are_keywords():

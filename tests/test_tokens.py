@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sailstate.errors import UnterminatedComment, UnterminatedStringLiteral
 from sailstate.tokens import COMPARISON_OPS, KEYWORDS, Stream, tokenize
@@ -97,6 +97,31 @@ def brute_partner(texts):
     return out
 
 
+def one_stack_nests(texts):
+    """Whether the brackets nest: one stack for every type, and each closer
+    must close the innermost open group."""
+    stack = []
+    for t in texts:
+        if t in "([{":
+            stack.append(t)
+        elif t in ")]}" and (not stack or "([{"[")]}".index(t)] != stack.pop()):
+            return False
+    return not stack
+
+
+def brute_unbalanced(texts):
+    """The first bracket that breaks nesting, or -1, read off its definition:
+    a closer that pairs with no opener, an opener with no closer, or an
+    opener whose group the closer of an enclosing group cuts."""
+    partner = brute_partner(texts)
+    for j, t in enumerate(texts):
+        if t in ")]}" and j not in partner:
+            return j
+        if t in "([{" and (partner[j] < 0 or any(a < j < partner[a] < partner[j] for a in range(j))):
+            return j
+    return -1
+
+
 def reconstruct(text: str, stream: Stream) -> str:
     """Rebuild the source from the tokens plus the gaps between them, and
     check that every gap is only whitespace and comments."""
@@ -190,7 +215,23 @@ def test_partner_pairs_each_bracket_type_on_its_own():
     stream = tokenize("f ( ] ) { [ } ] (")
     assert stream.partner == [-1, 3, -1, -1, 6, 7, -1, -1, -1]
     assert stream.partner == brute_partner(stream.texts)
-    assert stream.strays == [2]
+    assert stream.unbalanced == 2  # the `]` that no `[` opens
+
+
+@pytest.mark.parametrize("text, unbalanced", [
+    ("f ( [ ] ) { }", -1),
+    ("{ ( } )", 1),   # the `}` cuts the `(` group
+    ("( { ) }", 1),
+    ("( { [ } ] )", 2),
+    ("( [ { ( } ) ] )", 3),
+    ("( ] )", 1),
+    ("( { }", 0),
+    ("x )", 1),
+], ids=["nested", "cut", "cut_brace", "cut_two", "cut_deep", "stray", "unclosed", "stray_first"])
+def test_unbalanced_is_the_first_bracket_that_breaks_nesting(text, unbalanced):
+    texts = tokenize(text).texts
+    assert tokenize(text).unbalanced == brute_unbalanced(texts) == unbalanced
+    assert one_stack_nests(texts) == (unbalanced < 0)
 
 
 def test_length_is_the_significant_token_count(corpus_paths):
@@ -252,8 +293,17 @@ def test_token_positions_match_the_text(parts, tail):
     assert all(stream.where(i)[0] == "p.sail" for i in range(len(stream)))
 
 
+def _spaced(text):
+    return [(piece, " ") for piece in text.split()]
+
+
+# Random pieces seldom pair every bracket yet cross two groups, so the
+# examples do: the first bracket that breaks nesting is one that a closer cuts.
 @settings(derandomize=True, max_examples=200)
 @given(st.lists(st.tuples(st.one_of(_piece, st.sampled_from("()[]{}")), _gap), max_size=60))
+@example(_spaced("{ ( } )"))
+@example(_spaced("f ( [ { ( } ) ] ) ]"))
+@example(_spaced("[ ( ] ) {"))
 def test_partner_matches_a_rescan_per_bracket_type(parts):
     text = "".join(piece + gap for piece, gap in parts)
     try:
@@ -262,9 +312,8 @@ def test_partner_matches_a_rescan_per_bracket_type(parts):
         return
     partner = brute_partner(stream.texts)
     assert stream.partner == partner
-    assert stream.strays == [
-        j for j, t in enumerate(stream.texts) if t in ")]}" and j not in partner
-    ]
+    assert stream.unbalanced == brute_unbalanced(stream.texts)
+    assert (stream.unbalanced < 0) == one_stack_nests(stream.texts)
 
 
 @pytest.mark.parametrize("text, error, where", [
