@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import jsonout
 from .classifier import SensitivityReport
 from .errors import MalformedLine, PairMismatch, UnknownAction
-from .isa_model import compress_labels, expand_label_range, natural_key, split_label
+from .isa_model import comma_rows, compress_labels, expand_label_range, natural_key, split_label
 
 ACTION_SWAP = "swap"
 ACTION_CONDITIONAL = "swap_conditional"
@@ -49,21 +49,19 @@ class SwapManifest:
 
 def parse_manifest(text: str, path: str = "<manifest>") -> SwapManifest:
     """Line format: `register[.field], action[, provenance]` with `#`
-    comments and `f0..f31` range shorthand. One `@pair, SRC, TGT` line names
-    the mode pair the implementation claims to switch between."""
+    comments and `f0..f31` range shorthand. Exactly one `@pair, SRC, TGT`
+    line names the mode pair the implementation claims to switch between."""
     source: str | None = None
     target: str | None = None
     entries: dict[str, tuple[str, str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
+    for lineno, raw, parts in comma_rows(text):
         if parts[0] == "@pair":
             if len(parts) != 3 or not parts[1] or not parts[2]:
                 raise MalformedLine(
                     f"{path}:{lineno}: @pair needs '@pair, SOURCE, TARGET'"
                 )
+            if source is not None:
+                raise MalformedLine(f"{path}:{lineno}: a second @pair; a manifest names one pair")
             source, target = parts[1], parts[2]
             continue
         if len(parts) not in (2, 3):

@@ -117,7 +117,7 @@ def build_access_matrix(
     its own sets. An instruction that runs in no mode is not checked for
     unknown labels. A flag derived from a sibling's original access does
     not seed further derivation, so one written field never marks its
-    siblings written.
+    siblings written. A state's mode cells must name the backend's modes.
     """
     modes = backend.mode_order
     impl_read: dict[str, set[str]] = {m: set() for m in modes}
@@ -146,6 +146,13 @@ def build_access_matrix(
         for m in admitted:
             impl_read[m] |= reads
             impl_write[m] |= writes
+    for label in table.labels():
+        for verb, cells in (("readable", explicit.read_modes), ("writable", explicit.write_modes)):
+            if not cells.get(label, mode_set) <= mode_set:
+                raise UnknownMode(
+                    f"state {label!r} is {verb} in unknown mode "
+                    f"{min(cells[label] - mode_set)!r}; expected one of {', '.join(modes)}"
+                )
     derived_read = {m: _derive_whole_field(impl_read[m], table) for m in modes}
     derived_write = {m: _derive_whole_field(impl_write[m], table) for m in modes}
     return AccessMatrix(

@@ -375,9 +375,6 @@ def load_insights_csv(
     text: str, path: str = "<insights>"
 ) -> dict[str, InstructionInsight]:
     """Inverse of insight_rows, minus call paths (not needed downstream)."""
-    rows = read_csv_rows(text, path)
-    if not rows or tuple(rows[0]) != INSIGHTS_COLUMNS:
-        raise MalformedLine(f"{path}: expected header {','.join(INSIGHTS_COLUMNS)}")
     # Rows repeat cells (every instruction carries the baseline), so each
     # distinct cell is expanded once per call, and equal cells share one set.
     parsed: dict[str, frozenset[str]] = {}
@@ -391,9 +388,7 @@ def load_insights_csv(
         return parsed[cell]
 
     insights: dict[str, InstructionInsight] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(INSIGHTS_COLUMNS):
-            raise MalformedLine(f"{path}:{lineno}: expected {len(INSIGHTS_COLUMNS)} columns")
+    for lineno, row in read_csv_rows(text, path, INSIGHTS_COLUMNS):
         name, privs, er, ir, ew, iw, externals, _via = row
         if name in insights:
             raise MalformedLine(f"{path}:{lineno}: duplicate instruction {name!r}")

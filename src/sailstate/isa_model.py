@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 from .backend import BackendConfig, BankSpec
-from .errors import MalformedLine, UnknownCsrAddress, UnknownState
+from .errors import BackendConfigError, MalformedLine, UnknownCsrAddress, UnknownState
 from .parser import Body, Harvest, SailModel, Segment, int_literal
 from .tokens import COMPARISON_OPS
 
@@ -138,7 +138,7 @@ def discover_states(
     Register banks named by the backend expand to one state per element.
     Registers appearing in the CSR address mapping become csr states, and
     their bitfield members become csr_field states. Everything else declared
-    as a register is internal state.
+    as a register is internal state. A label made twice is an error.
     """
     addresses: dict[str, int] = {}
     for addr, regname in model.mappings.get(backend.csr_address_mapping, ()):
@@ -172,7 +172,19 @@ def discover_states(
                 entries.append(StateEntry(
                     state_label(regname, f.name), f"{kind}_field", f.width, regname, address
                 ))
+    made: dict[str, StateEntry] = {}
+    for e in entries:
+        first = made.setdefault(e.label, e)
+        if first is not e:
+            raise BackendConfigError(
+                f"{backend.path}: state {e.label!r} names both {_maker(first)} and {_maker(e)}"
+            )
     return StateTable(entries)
+
+
+def _maker(e: StateEntry) -> str:
+    of = "a field of" if e.is_field else "an element of bank"
+    return f"{of} register {e.parent!r}" if e.parent else f"register {e.label!r}"
 
 
 # -- explicit access -------------------------------------------------------
@@ -279,16 +291,12 @@ def extract_permission_rule(fn: Body) -> CsrPermissionRule:
     )
 
 
+@dataclass
 class ExplicitAccess:
     """Which modes may explicitly read or write each state."""
 
-    def __init__(
-        self,
-        read_modes: dict[str, frozenset[str]],
-        write_modes: dict[str, frozenset[str]],
-    ):
-        self.read_modes = read_modes
-        self.write_modes = write_modes
+    read_modes: dict[str, frozenset[str]]
+    write_modes: dict[str, frozenset[str]]
 
     def readable(self, label: str, mode: str) -> bool:
         return mode in self.read_modes.get(label, frozenset())
@@ -305,56 +313,40 @@ def derive_explicit_access(
     Bank elements are operand-accessible in every mode, except that a
     hardwired-zero element is never writable. CSRs follow the policy encoded
     in the configured permission-check function when one exists, otherwise
-    the conventional address bits. Fields inherit their register's access.
-    Internal states have no explicit access path.
+    the conventional address bits, except that VirtualSupervisor reaches a
+    CSR `vsX` instead of the CSR `sX`. Fields inherit their register's
+    access, set first in natural order. Internal states have no explicit
+    access path.
     """
-    rule = DEFAULT_PERMISSION_RULE
-    if backend.csr_permission_function and backend.csr_permission_function in model.functions:
-        rule = extract_permission_rule(model.functions[backend.csr_permission_function])
+    permission = model.functions.get(backend.csr_permission_function)
+    rule = DEFAULT_PERMISSION_RULE if permission is None else extract_permission_rule(permission)
 
     all_modes = frozenset(backend.mode_order)
+    virtual = all_modes & {"VirtualSupervisor"}
     read_modes: dict[str, frozenset[str]] = {}
     write_modes: dict[str, frozenset[str]] = {}
+
+    def is_csr(label: str) -> bool:
+        return label in table and table[label].kind == "csr"
 
     for label in table.labels():
         entry = table[label]
         if entry.kind in ("internal", "internal_field"):
-            read_modes[label] = frozenset()
-            write_modes[label] = frozenset()
+            read = write = frozenset()
         elif entry.is_field:
-            read_modes[label] = read_modes[entry.parent]
-            write_modes[label] = write_modes[entry.parent]
+            read, write = read_modes[entry.parent], write_modes[entry.parent]
         elif entry.address is not None:
-            level = rule.min_level(entry.address)
-            allowed = backend.modes_at_or_above(level)
-            read_modes[label] = allowed
-            write_modes[label] = frozenset() if rule.is_read_only(entry.address) else allowed
+            read = backend.modes_at_or_above(rule.min_level(entry.address))
+            if label.startswith("vs") and is_csr("s" + label[2:]):
+                read |= virtual
+            elif label.startswith("s") and is_csr("v" + label):
+                read -= virtual
+            write = frozenset() if rule.is_read_only(entry.address) else read
         else:
             # bank element
-            read_modes[label] = all_modes
-            write_modes[label] = frozenset() if label == backend.hardwired_zero else all_modes
-
-    # A virtualized mode reaches the vs-prefixed alias of a supervisor CSR
-    # instead of the physical one.
-    if "VirtualSupervisor" in backend.mode_order:
-        vs = frozenset({"VirtualSupervisor"})
-        csr_labels = {
-            lab for lab in table.labels() if table[lab].kind == "csr"
-        }
-        for lab in sorted(csr_labels):
-            if lab.startswith("vs") and ("s" + lab[2:]) in csr_labels:
-                phys = "s" + lab[2:]
-                read_modes[lab] = read_modes[lab] | vs
-                if write_modes[lab]:
-                    write_modes[lab] = write_modes[lab] | vs
-                read_modes[phys] = read_modes[phys] - vs
-                write_modes[phys] = write_modes[phys] - vs
-                for fieldlab in (e.label for e in table.fields_of(lab)):
-                    read_modes[fieldlab] = read_modes[lab]
-                    write_modes[fieldlab] = write_modes[lab]
-                for fieldlab in (e.label for e in table.fields_of(phys)):
-                    read_modes[fieldlab] = read_modes[phys]
-                    write_modes[fieldlab] = write_modes[phys]
+            read = all_modes
+            write = frozenset() if label == backend.hardwired_zero else all_modes
+        read_modes[label], write_modes[label] = read, write
 
     return ExplicitAccess(read_modes, write_modes)
 
@@ -474,12 +466,29 @@ def compress_labels(labels) -> list[str]:
 
 # -- state table serialization ------------------------------------------------
 
-def read_csv_rows(text: str, path: str) -> list[list[str]]:
-    """All rows of a saved CSV file; MalformedLine naming `path` if it is not CSV."""
+def read_csv_rows(text: str, path: str, columns: tuple[str, ...]):
+    """Yield (line number, row) for each data row of a saved CSV file whose
+    header is `columns`, checking each row's width as it goes; any fault is
+    MalformedLine naming `path`."""
     try:
-        return list(csv.reader(io.StringIO(text)))
+        rows = list(csv.reader(io.StringIO(text)))
     except csv.Error as exc:
         raise MalformedLine(f"{path}: {exc}") from None
+    if not rows or tuple(rows[0]) != columns:
+        raise MalformedLine(f"{path}: expected header {','.join(columns)}")
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(columns):
+            raise MalformedLine(f"{path}:{lineno}: expected {len(columns)} columns")
+        yield lineno, row
+
+
+def comma_rows(text: str):
+    """Yield (line number, line, stripped cells) for each manifest line that
+    is not blank once its `#` comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, raw, [cell.strip() for cell in line.split(",")]
 
 
 STATES_COLUMNS = ("state", "kind", "width", "address", "parent", "readable", "writable")
@@ -510,17 +519,10 @@ def state_rows(
 
 def load_states_csv(text: str, path: str = "<states>") -> tuple[StateTable, ExplicitAccess]:
     """Inverse of state_rows, for running later stages from saved files."""
-    rows = read_csv_rows(text, path)
-    if not rows or tuple(rows[0]) != STATES_COLUMNS:
-        raise MalformedLine(
-            f"{path}: expected header {','.join(STATES_COLUMNS)}"
-        )
     entries: list[StateEntry] = []
     read_modes: dict[str, frozenset[str]] = {}
     write_modes: dict[str, frozenset[str]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(STATES_COLUMNS):
-            raise MalformedLine(f"{path}:{lineno}: expected {len(STATES_COLUMNS)} columns")
+    for lineno, row in read_csv_rows(text, path, STATES_COLUMNS):
         label, kind, width, address, parent, readable, writable = row
         if label in read_modes:
             raise MalformedLine(f"{path}:{lineno}: duplicate state {label!r}")

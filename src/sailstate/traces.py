@@ -22,7 +22,7 @@ from .errors import (
     TraceManifestError,
 )
 from .footprint import InstructionInsight
-from .isa_model import StateTable, natural_key, state_label
+from .isa_model import StateTable, comma_rows, natural_key, state_label
 
 
 # -- S-expression reader -----------------------------------------------------
@@ -170,17 +170,13 @@ def load_traces(manifest_path: str) -> list[TraceBundle]:
     """
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            manifest = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read trace manifest {manifest_path}: {exc}") from exc
 
     base = os.path.dirname(os.path.abspath(manifest_path))
     bundles: list[TraceBundle] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
+    for lineno, raw, parts in comma_rows(manifest):
         if len(parts) not in (3, 4):
             raise TraceManifestError(
                 f"{manifest_path}:{lineno}: expected "

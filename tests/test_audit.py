@@ -71,6 +71,16 @@ def test_parse_manifest_requires_pair_line():
         parse_manifest("@pair, Supervisor\nmepc, swap\n")
 
 
+def test_parse_manifest_rejects_a_second_pair_line():
+    """A second @pair is an error at its own line, not a silent switch of
+    the audited pair to the last one named."""
+    text = "@pair, User, Machine\nmepc, swap\n# comment\n@pair, Supervisor, Supervisor\n"
+    with pytest.raises(MalformedLine, match=r"^m\.csv:4: a second @pair; a manifest names one pair$"):
+        parse_manifest(text, "m.csv")
+    first = parse_manifest(text.rsplit("@pair", 1)[0])
+    assert (first.source, first.target) == ("User", "Machine")
+
+
 def test_parse_manifest_rejects_bad_rows():
     with pytest.raises(UnknownAction):
         parse_manifest(_manifest("mepc, shred\n"))

@@ -520,6 +520,68 @@ def test_bad_input_files_exit_one_without_traceback(tmp_path, case):
         assert "runs in unknown mode 'Hypervisor'; expected one of User, Supervisor, Machine" in proc.stderr
 
 
+def _run(*argv):
+    return subprocess.run([sys.executable, "-m", "sailstate", *argv], capture_output=True, text=True)
+
+
+def test_a_state_label_made_twice_exits_one(tmp_path):
+    """Two banks with one prefix, or a register named like a bank element,
+    would lose one maker's states from the table."""
+    ini = FIXTURES / "broken" / "shared_prefix.ini"
+    proc = _run("scan", "--backend", str(ini), "--out", str(tmp_path / "shared"))
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        f"sailstate: error: {ini}: state 'x0' names both an element of bank register 'Fs' "
+        "and an element of bank register 'Xs'\n"
+    )
+
+    regs = tmp_path / "regs.sail"
+    regs.write_text(
+        "register cur_privilege : Privilege\n"
+        "register Xs : vector(4, dec, bits(8))\nregister x2 : bits(8)\n"
+        "function step() -> unit = ()\n"
+    )
+    ini = tmp_path / "backend.ini"
+    ini.write_text(
+        "[modes]\norder = User, Machine\n"
+        "[state]\ncurrent_privilege_register = cur_privilege\ngpr_bank = Xs\ngpr_prefix = x\n"
+        "[dispatch]\nentry_functions = step\n"
+    )
+    proc = _run("scan", "--corpus", str(regs), "--backend", str(ini), "--out", str(tmp_path / "x2"))
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"{ini}: state 'x2' names both an element of bank register 'Xs' and register 'x2'" in proc.stderr
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"mstatus": ("Bogus", "Machine")}, "state 'mstatus' is readable in unknown mode 'Bogus'"),
+    ({"mstatus": ("Machine", "Machine Bogus")}, "state 'mstatus' is writable in unknown mode 'Bogus'"),
+    ({"mstatus": ("Hyper", "Bogus")}, "state 'mstatus' is readable in unknown mode 'Hyper'"),
+    ({"mstatus": ("Machine", "Bogus"), "mepc": ("Hyper", "")}, "state 'mepc' is readable in unknown mode 'Hyper'"),
+    ({"mstatus": ("Hyper", ""), "mepc": ("Machine", "Bogus")}, "state 'mepc' is writable in unknown mode 'Bogus'"),
+])
+def test_states_csv_mode_cells_must_be_backend_modes(tmp_path, edit, message):
+    """A saved mode that the backend lacks is an error, not a flag that no
+    mode can hold; readable is checked before writable, in table order."""
+    scan = tmp_path / "scan"
+    main(["scan", "--out", str(scan)])
+    states = scan / "states.csv"
+    rows = states.read_text().splitlines()
+    for i, row in enumerate(rows):
+        cells = row.split(",")
+        if cells[0] in edit:
+            cells[5:7] = edit[cells[0]]
+            rows[i] = ",".join(cells)
+    states.write_text("\n".join(rows) + "\n")
+    proc = _run(
+        "classify", "--insights", str(scan / "insights.csv"), "--states", str(states),
+        "--source", "Supervisor", "--target", "Supervisor", "--out", str(tmp_path / "out"),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == f"sailstate: error: {message}; expected one of User, Supervisor, Machine\n"
+
+
 def test_stray_bracket_in_the_corpus_exits_one(tmp_path):
     """A stray `)` in one mapping clause is an error at that bracket. It
     must not turn the rest of the file into one span that is dropped, which

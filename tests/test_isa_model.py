@@ -1,11 +1,12 @@
 import random
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sailstate.backend import load_backend
+from sailstate.backend import bundled_corpus_dir, load_backend
 from sailstate.errors import BackendConfigError, MalformedLine, UnknownCsrAddress, UnknownState
 from sailstate.footprint import instruction_insights
 from sailstate.isa_model import (
@@ -23,6 +24,7 @@ from sailstate.isa_model import (
     natural_key,
     split_label,
     state_label,
+    state_rows,
 )
 from sailstate.parser import parse_corpus
 
@@ -48,6 +50,32 @@ def test_state_census(table):
     assert [l for l in table.labels() if table[l].kind == "internal"] == [
         "PC", "cur_privilege", "nextPC",
     ]
+
+
+def test_a_label_made_twice_is_an_error(tmp_path):
+    """Two makers of one label would leave one of them out of the table."""
+    ini = FIXTURES / "broken" / "shared_prefix.ini"
+    corpus = sorted(Path(bundled_corpus_dir()).glob("*.sail"))
+    with pytest.raises(BackendConfigError, match=(
+        rf"^{re.escape(str(ini))}: state 'x0' names both an element of bank register 'Fs' "
+        r"and an element of bank register 'Xs'$"
+    )):
+        discover_states(parse_corpus(corpus), load_backend(str(ini)))
+
+    regs = tmp_path / "regs.sail"
+    regs.write_text(
+        "register cur_privilege : Privilege\n"
+        "register Xs : vector(4, dec, bits(8))\nregister x2 : bits(8)\n"
+    )
+    ini = tmp_path / "backend.ini"
+    ini.write_text(
+        "[modes]\norder = User, Machine\n"
+        "[state]\ncurrent_privilege_register = cur_privilege\ngpr_bank = Xs\ngpr_prefix = x\n"
+    )
+    with pytest.raises(BackendConfigError, match=(
+        r"backend\.ini: state 'x2' names both an element of bank register 'Xs' and register 'x2'$"
+    )):
+        discover_states(parse_corpus([str(regs)]), load_backend(str(ini)))
 
 
 def test_bank_elements(table):
@@ -182,11 +210,34 @@ def test_vs_alias_shadowing():
     assert vs not in ex.read_modes["sscratch"]
     assert vs in ex.write_modes["vsepc"]
     assert vs not in ex.write_modes["sepc"]
-    # fields re-inherit after the shadow pass
+    # fields inherit their register's access after the alias
     assert ex.read_modes["vsstatus.SPP"] == ex.read_modes["vsstatus"]
     assert ex.read_modes["sstatus.SPP"] == ex.read_modes["sstatus"]
     # hypervisor level sits between supervisor and machine
     assert ex.read_modes["hstatus"] == frozenset({"HypervisorSupervisor", "Machine"})
+
+
+def test_read_only_alias_pair(tmp_path):
+    """A read-only `vsX` gains VirtualSupervisor for reading only, and its
+    read-only `sX` loses it."""
+    backend, _ = _load("hyper")
+    corpus = tmp_path / "ro.sail"
+    corpus.write_text(
+        "register cur_privilege : Privilege\n"
+        "register sro : bits(64)\nregister vsro : bits(64)\n"
+        'mapping clause csr_name_map = 0xD00 <-> "sro"\n'
+        'mapping clause csr_name_map = 0xE00 <-> "vsro"\n'
+        "function step() -> unit = ()\n"
+    )
+    model = parse_corpus([str(corpus)])
+    table = discover_states(model, backend)
+    rows = {r["state"]: r for r in state_rows(table, derive_explicit_access(model, backend, table), backend)}
+    assert (rows["vsro"]["readable"], rows["vsro"]["writable"]) == (
+        "VirtualSupervisor HypervisorSupervisor Machine", ""
+    )
+    assert (rows["sro"]["readable"], rows["sro"]["writable"]) == (
+        "Supervisor HypervisorSupervisor Machine", ""
+    )
 
 
 def test_nonstandard_permission_function():
