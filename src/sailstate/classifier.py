@@ -7,9 +7,10 @@ which states let the outgoing domain attack the incoming one, and how.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from . import jsonout
 from .backend import BackendConfig
@@ -41,48 +42,55 @@ class AccessFlags:
     derived: frozenset[str] = frozenset()  # implicit flags set via whole<->field
 
 
-class AccessMatrix:
-    """Per (mode, state): the four access booleans driving the rules.
+# The per-mode label sets of an AccessMatrix: one per access flag, then the
+# implicit labels that whole<->field derivation added.
+FLAG_SETS = ("explicit_read", "explicit_write", "implicit_read", "implicit_write")
+DERIVED_SETS = (("implicit_read", "derived_read"), ("implicit_write", "derived_write"))
 
-    The implicit maps hold, per mode, every label with an implicit flag; the
-    derived maps hold the subset set by whole<->field derivation.
+
+class AccessMatrix:
+    """Per mode, the labels holding each access flag; the rules are set
+    operations over them.
+
+    `sets[mode]` maps each name in FLAG_SETS to the labels with that flag,
+    and `derived_read`/`derived_write` to the implicit labels set by
+    whole<->field derivation.
     """
 
-    def __init__(
-        self,
-        modes: tuple[str, ...],
-        table: StateTable,
-        explicit: ExplicitAccess,
-        implicit_read: Mapping[str, set[str]],
-        implicit_write: Mapping[str, set[str]],
-        derived_read: Mapping[str, set[str]],
-        derived_write: Mapping[str, set[str]],
-    ):
+    def __init__(self, modes: tuple[str, ...], table: StateTable, sets: Mapping[str, dict]):
         self.modes = modes
         self.table = table
-        self._explicit = explicit
-        self._impl_read = implicit_read
-        self._impl_write = implicit_write
-        self._derived_read = derived_read
-        self._derived_write = derived_write
+        self.sets = sets
+
+    def _sets_of(self, mode: str) -> Mapping[str, set[str]]:
+        if mode not in self.sets:
+            raise UnknownMode(f"unknown mode {mode!r}; expected one of {', '.join(self.modes)}")
+        return self.sets[mode]
 
     def flags(self, mode: str, label: str) -> AccessFlags:
-        if mode not in self._impl_read:
-            raise UnknownMode(f"unknown mode {mode!r}; expected one of {', '.join(self.modes)}")
+        sets = self._sets_of(mode)
         if label not in self.table:
             raise UnknownState(f"unknown state {label!r}")
-        derived = set()
-        if label in self._derived_read[mode]:
-            derived.add("implicit_read")
-        if label in self._derived_write[mode]:
-            derived.add("implicit_write")
         return AccessFlags(
-            explicit_read=self._explicit.readable(label, mode),
-            explicit_write=self._explicit.writable(label, mode),
-            implicit_read=label in self._impl_read[mode],
-            implicit_write=label in self._impl_write[mode],
-            derived=frozenset(derived),
+            *(label in sets[flag] for flag in FLAG_SETS),
+            derived=frozenset(flag for flag, key in DERIVED_SETS if label in sets[key]),
         )
+
+    def rule_hits(self, source: str, target: str) -> dict[str, set[str]]:
+        """Each rule with the labels it fires on for the pair, in rule order.
+
+        W is explicit or implicit write, R explicit or implicit read, and D
+        implicit read: rule-i fires on W_s & D_t, rule-ii/iii on W_s & R_t,
+        and rule-iv on D_s & R_t.
+        """
+        src, tgt = self._sets_of(source), self._sets_of(target)
+        w_s = src["explicit_write"] | src["implicit_write"]
+        r_t = tgt["explicit_read"] | tgt["implicit_read"]
+        return {
+            RULE_I: w_s & tgt["implicit_read"],
+            RULE_II_III: w_s & r_t,
+            RULE_IV: src["implicit_read"] & r_t,
+        }
 
 
 def _derive_whole_field(origin: set[str], table: StateTable) -> set[str]:
@@ -120,8 +128,7 @@ def build_access_matrix(
     siblings written. A state's mode cells must name the backend's modes.
     """
     modes = backend.mode_order
-    impl_read: dict[str, set[str]] = {m: set() for m in modes}
-    impl_write: dict[str, set[str]] = {m: set() for m in modes}
+    sets = {m: {flag: set() for flag in FLAG_SETS} for m in modes}
     groups: dict[tuple[frozenset[str], frozenset[str], frozenset[str]], str] = {}
     for name in sorted(insights):
         ins = insights[name]
@@ -144,20 +151,25 @@ def build_access_matrix(
                     f"instruction {name!r} references unknown state {label!r}"
                 )
         for m in admitted:
-            impl_read[m] |= reads
-            impl_write[m] |= writes
+            sets[m]["implicit_read"] |= reads
+            sets[m]["implicit_write"] |= writes
     for label in table.labels():
-        for verb, cells in (("readable", explicit.read_modes), ("writable", explicit.write_modes)):
-            if not cells.get(label, mode_set) <= mode_set:
+        for verb, cells, flag in (
+            ("readable", explicit.read_modes, "explicit_read"),
+            ("writable", explicit.write_modes, "explicit_write"),
+        ):
+            label_modes = cells.get(label, frozenset())
+            if not label_modes <= mode_set:
                 raise UnknownMode(
                     f"state {label!r} is {verb} in unknown mode "
-                    f"{min(cells[label] - mode_set)!r}; expected one of {', '.join(modes)}"
+                    f"{min(label_modes - mode_set)!r}; expected one of {', '.join(modes)}"
                 )
-    derived_read = {m: _derive_whole_field(impl_read[m], table) for m in modes}
-    derived_write = {m: _derive_whole_field(impl_write[m], table) for m in modes}
-    return AccessMatrix(
-        modes, table, explicit, impl_read, impl_write, derived_read, derived_write
-    )
+            for m in label_modes:
+                sets[m][flag].add(label)
+    for flag, key in DERIVED_SETS:
+        for m in modes:
+            sets[m][key] = _derive_whole_field(sets[m][flag], table)
+    return AccessMatrix(modes, table, sets)
 
 
 @dataclass(frozen=True)
@@ -173,70 +185,52 @@ class Sensitivity:
     bidirectional: bool = False
 
 
-def _classify_flags(kind: str, src: AccessFlags, tgt: AccessFlags):
-    """The rule core over the four booleans; shared by classify and tests."""
-    w_s = src.explicit_write or src.implicit_write
-    d_s = src.implicit_read
-    r_t = tgt.explicit_read or tgt.implicit_read
-    d_t = tgt.implicit_read
-
-    classes: list[str] = []
-    rules: list[str] = []
-    justification: list[str] = []
-    if kind == GPR_KIND:
-        classes = list(ALL_CLASSES)
-        rules = [RULE_GPR]
-        justification = ["gpr-default: operand registers are sensitive by default"]
-        return classes, rules, justification
-    if w_s and d_t:
-        classes.append(CLASS_INTEGRITY)
-        rules.append(RULE_I)
-        justification.append(
-            "rule-i: source can write (W_s) and target execution depends on it (D_t)"
-        )
-    if w_s and r_t:
-        for c in (CLASS_SIDE, CLASS_COVERT):
-            if c not in classes:
-                classes.append(c)
-        rules.append(RULE_II_III)
-        justification.append(
-            "rule-ii/iii: source can write (W_s) and target can read (R_t)"
-        )
-    if d_s and r_t:
-        if CLASS_SIDE not in classes:
-            classes.append(CLASS_SIDE)
-        rules.append(RULE_IV)
-        justification.append(
-            "rule-iv: source content is observable (D_s) and target can read (R_t)"
-        )
-    ordered = [c for c in ALL_CLASSES if c in classes]
-    return ordered, rules, justification
+# Each rule: the classes it adds and the justification it gives.
+_RULES = {
+    RULE_GPR: (ALL_CLASSES, "gpr-default: operand registers are sensitive by default"),
+    RULE_I: (
+        (CLASS_INTEGRITY,),
+        "rule-i: source can write (W_s) and target execution depends on it (D_t)",
+    ),
+    RULE_II_III: (
+        (CLASS_SIDE, CLASS_COVERT),
+        "rule-ii/iii: source can write (W_s) and target can read (R_t)",
+    ),
+    RULE_IV: (
+        (CLASS_SIDE,),
+        "rule-iv: source content is observable (D_s) and target can read (R_t)",
+    ),
+}
 
 
-def classify(
-    label: str,
-    source: str,
-    target: str,
-    matrix: AccessMatrix,
-) -> Sensitivity:
+def classify(label: str, source: str, target: str, matrix: AccessMatrix) -> Sensitivity:
     entry = matrix.table.resolve(label)
-    src, tgt = matrix.flags(source, label), matrix.flags(target, label)
-    return _verdict(entry, source, target, src, tgt)
+    return _verdict(entry, source, target, matrix.rule_hits(source, target), ())
+
+
+@functools.cache
+def _outcome(rules: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The classes, in ALL_CLASSES order, and the justification of the rules."""
+    classes = tuple(c for c in ALL_CLASSES if any(c in _RULES[r][0] for r in rules))
+    return classes, tuple(_RULES[r][1] for r in rules)
 
 
 def _verdict(
-    entry: StateEntry, source: str, target: str, src: AccessFlags, tgt: AccessFlags
+    entry: StateEntry, source: str, target: str, hits: dict, both_ways: Container[str]
 ) -> Sensitivity:
-    classes, rules, justification = _classify_flags(entry.kind, src, tgt)
+    """The verdict of the rules that fire on the entry; a GPR state is
+    sensitive by default whatever fires. A side channel is bidirectional
+    when its label is in `both_ways`."""
+    if entry.kind == GPR_KIND:
+        rules: tuple[str, ...] = (RULE_GPR,)
+    else:
+        rules = tuple(rule for rule, on in hits.items() if entry.label in on)
+    classes, justification = _outcome(rules)
+    bidirectional = CLASS_SIDE in classes and entry.label in both_ways
+    # Positional arguments: this runs once per state.
     return Sensitivity(
-        state=entry.label,
-        kind=entry.kind,
-        source=source,
-        target=target,
-        sensitive=bool(classes),
-        classes=tuple(classes),
-        rules=tuple(rules),
-        justification=tuple(justification),
+        entry.label, entry.kind, source, target, bool(rules), classes, rules, justification,
+        bidirectional,
     )
 
 
@@ -258,11 +252,7 @@ class SensitivityReport:
         return {s.state: s for s in self.results}
 
 
-def classify_all(
-    source: str,
-    target: str,
-    matrix: AccessMatrix,
-) -> SensitivityReport:
+def classify_all(source: str, target: str, matrix: AccessMatrix) -> SensitivityReport:
     """One verdict per state, deterministic order, both granularities.
 
     A whole register that stayed quiet is escalated to sensitive when any of
@@ -270,23 +260,20 @@ def classify_all(
     Side-channel verdicts are annotated bidirectional when the swapped mode
     pair produces a side channel as well.
     """
-    for mode in (source, target):
-        if mode not in matrix.modes:
-            raise UnknownMode(
-                f"unknown mode {mode!r}; expected one of {', '.join(matrix.modes)}"
-            )
+    hits = matrix.rule_hits(source, target)
     table = matrix.table
-    verdicts: dict[str, Sensitivity] = {}
-    # States that the swapped mode pair also makes a side channel.
-    side_back: set[str] = set()
-    for label in table.labels():
-        entry = table[label]
-        src = tgt = matrix.flags(source, label)
-        if source != target:
-            tgt = matrix.flags(target, label)
-            if CLASS_SIDE in _classify_flags(entry.kind, tgt, src)[0]:
-                side_back.add(label)
-        verdicts[label] = _verdict(entry, source, target, src, tgt)
+    # The states whose side channel is bidirectional: all of them for one
+    # mode, else those the swapped pair's side-channel rules fire on, and
+    # every GPR state.
+    if source == target:
+        both_ways = table.entries.keys()
+    else:
+        back = matrix.rule_hits(target, source)
+        both_ways = set().union(*(on for rule, on in back.items() if CLASS_SIDE in _RULES[rule][0]))
+        both_ways.update(label for label, e in table.entries.items() if e.kind == GPR_KIND)
+    verdicts = {
+        label: _verdict(table[label], source, target, hits, both_ways) for label in table.labels()
+    }
 
     # field -> whole escalation
     for label in table.labels():
@@ -294,33 +281,18 @@ def classify_all(
         if entry.is_field or verdicts[label].sensitive:
             continue
         field_hits = [
-            verdicts[e.label] for e in table.fields_of(label)
-            if verdicts[e.label].sensitive
+            verdicts[e.label] for e in table.fields_of(label) if verdicts[e.label].sensitive
         ]
         if not field_hits:
             continue
-        classes = tuple(
-            c for c in ALL_CLASSES if any(c in f.classes for f in field_hits)
-        )
+        classes = tuple(c for c in ALL_CLASSES if any(c in f.classes for f in field_hits))
         fields = ", ".join(sorted(f.state for f in field_hits))
         verdicts[label] = Sensitivity(
-            state=label,
-            kind=entry.kind,
-            source=source,
-            target=target,
-            sensitive=True,
-            classes=classes,
-            rules=("field-escalation",),
-            justification=(f"field-escalation: sensitive fields {fields}",),
+            label, entry.kind, source, target, True, classes, ("field-escalation",),
+            (f"field-escalation: sensitive fields {fields}",),
+            CLASS_SIDE in classes and label in both_ways,
         )
-
-    # bidirectional side channels
-    for label, v in verdicts.items():
-        if CLASS_SIDE in v.classes and (source == target or label in side_back):
-            verdicts[label] = Sensitivity(**{**v.__dict__, "bidirectional": True})
-
-    ordered = tuple(verdicts[label] for label in table.labels())
-    return SensitivityReport(source=source, target=target, results=ordered)
+    return SensitivityReport(source=source, target=target, results=tuple(verdicts.values()))
 
 
 # -- serialization -----------------------------------------------------------

@@ -97,14 +97,6 @@ class StateTable:
     def fields_of(self, register: str) -> list[StateEntry]:
         return list(self._fields.get(register, ()))
 
-    def covered_by(self, label: str) -> frozenset[str]:
-        """The label itself plus every field it contains."""
-        out = {label}
-        entry = self.entries.get(label)
-        if entry is not None and not entry.is_field:
-            out.update(e.label for e in self.fields_of(label))
-        return frozenset(out)
-
 
 def _alias_width(name: str | None, model: SailModel) -> int | None:
     if name is None:
@@ -298,12 +290,6 @@ class ExplicitAccess:
     read_modes: dict[str, frozenset[str]]
     write_modes: dict[str, frozenset[str]]
 
-    def readable(self, label: str, mode: str) -> bool:
-        return mode in self.read_modes.get(label, frozenset())
-
-    def writable(self, label: str, mode: str) -> bool:
-        return mode in self.write_modes.get(label, frozenset())
-
 
 def derive_explicit_access(
     model: SailModel, backend: BackendConfig, table: StateTable
@@ -469,14 +455,20 @@ def compress_labels(labels) -> list[str]:
 def read_csv_rows(text: str, path: str, columns: tuple[str, ...]):
     """Yield (line number, row) for each data row of a saved CSV file whose
     header is `columns`, checking each row's width as it goes; any fault is
-    MalformedLine naming `path`."""
+    MalformedLine naming `path`. A row's line number is the file line its
+    record starts on; a quoted cell may hold newlines."""
+    reader = csv.reader(io.StringIO(text))
+    rows: list[tuple[int, list[str]]] = []
+    start = 1
     try:
-        rows = list(csv.reader(io.StringIO(text)))
+        for row in reader:
+            rows.append((start, row))
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise MalformedLine(f"{path}: {exc}") from None
-    if not rows or tuple(rows[0]) != columns:
+    if not rows or tuple(rows[0][1]) != columns:
         raise MalformedLine(f"{path}: expected header {','.join(columns)}")
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(columns):
             raise MalformedLine(f"{path}:{lineno}: expected {len(columns)} columns")
         yield lineno, row

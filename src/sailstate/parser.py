@@ -575,6 +575,11 @@ class _UnitParser:
                 hi = lo = nums[0]
             else:
                 hi = lo = None
+            if any(f.name == fname for f in fields):
+                raise DuplicateDefinition(
+                    f"field {fname!r} declared twice in bitfield {bfname!r}",
+                    *self.stream.where(name_at),
+                )
             fields.append(BitfieldField(fname, hi, lo))
         return tuple(fields)
 

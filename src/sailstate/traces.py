@@ -267,7 +267,7 @@ def _covered(register: str, field: str | None, have: frozenset[str], table: Stat
         # whole-register entry covers any of its fields
         return register in have
     # whole-register requirement: any field-level entry of it counts
-    return any(lab in have for lab in table.covered_by(label) if lab != label)
+    return any(e.label in have for e in table.fields_of(label))
 
 
 def validate(

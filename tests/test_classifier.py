@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -147,8 +148,8 @@ def test_matrix_matches_independent_rederivation(insights, explicit, table, matr
             flags = matrix.flags(mode, label)
             assert flags.implicit_read == (label in want_read), (mode, label)
             assert flags.implicit_write == (label in want_write), (mode, label)
-            assert flags.explicit_read == explicit.readable(label, mode)
-            assert flags.explicit_write == explicit.writable(label, mode)
+            assert flags.explicit_read == (mode in explicit.read_modes[label])
+            assert flags.explicit_write == (mode in explicit.write_modes[label])
             assert ("implicit_read" in flags.derived) == (
                 label in want_read - impl_read
             )
@@ -289,6 +290,55 @@ def test_field_sensitivity_escalates_to_register():
     assert by_state["c.F"].sensitive
     assert by_state["c"].sensitive
     assert by_state["c"].rules == ("field-escalation",)
+
+
+@st.composite
+def _random_matrices(draw):
+    """Registers with fields, orphan fields and GPR elements, with random
+    explicit access and random instruction footprints per mode."""
+    entries = []
+    for i in range(draw(st.integers(0, 4))):
+        entries.append(_entry(f"r{i}", draw(st.sampled_from(["csr", "internal"]))))
+        for k in range(draw(st.integers(0, 3))):
+            entries.append(_entry(f"r{i}.F{k}", "csr_field", parent=f"r{i}"))
+    for k in range(draw(st.integers(0, 2))):
+        entries.append(_entry(f"gone.F{k}", "csr_field", parent="gone"))
+    for k in range(draw(st.integers(0, 3))):
+        entries.append(_entry(f"x{k}", "gpr", parent="Xs"))
+    table = StateTable(entries)
+    labels = table.labels()
+    modes = st.frozensets(st.sampled_from(_MODES))
+    subsets = st.frozensets(st.sampled_from(labels)) if labels else st.just(frozenset())
+    explicit = ExplicitAccess(
+        {label: draw(modes) for label in labels}, {label: draw(modes) for label in labels}
+    )
+    insights = {}
+    for k in range(draw(st.integers(0, 4))):
+        footprint = Footprint(implicit_reads=draw(subsets), implicit_writes=draw(subsets))
+        insights[f"I{k}"] = InstructionInsight(f"I{k}", draw(modes), footprint, frozenset())
+    return build_access_matrix(insights, explicit, table, _mini_backend(_MODES))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_random_matrices(), st.sampled_from(_MODES), st.integers(1, len(_MODES) - 1))
+def test_classify_all_matches_per_label_classify(matrix, source, shift):
+    table = matrix.table
+    other = _MODES[(_MODES.index(source) + shift) % len(_MODES)]
+    for target in (source, other):
+        report = classify_all(source, target, matrix)
+        assert [v.state for v in report.results] == table.labels()
+        for v in report.results:
+            alone = classify(v.state, source, target, matrix)
+            fields = [classify(e.label, source, target, matrix) for e in table.fields_of(v.state)]
+            if not alone.sensitive and any(f.sensitive for f in fields):
+                assert v.rules == ("field-escalation",), v
+                assert set(v.classes) == set().union(*(f.classes for f in fields))
+            else:
+                assert dataclasses.replace(v, bidirectional=False) == alone
+            swapped = classify(v.state, target, source, matrix)
+            assert v.bidirectional == (
+                CLASS_SIDE in v.classes and (source == target or CLASS_SIDE in swapped.classes)
+            ), (v, swapped)
 
 
 # -- bundled corpus spot checks ---------------------------------------------------

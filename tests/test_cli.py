@@ -554,6 +554,16 @@ def test_a_state_label_made_twice_exits_one(tmp_path):
     assert f"{ini}: state 'x2' names both an element of bank register 'Xs' and register 'x2'" in proc.stderr
 
 
+def test_a_field_named_twice_in_a_bitfield_exits_one(tmp_path):
+    path = FIXTURES / "broken" / "duplicate_field.sail"
+    proc = _run("scan", "--corpus", str(path), "--out", str(tmp_path / "dup"))
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        f"sailstate: error: {path}:2:33: field 'A' declared twice in bitfield 'B'\n"
+    )
+
+
 @pytest.mark.parametrize("edit, message", [
     ({"mstatus": ("Bogus", "Machine")}, "state 'mstatus' is readable in unknown mode 'Bogus'"),
     ({"mstatus": ("Machine", "Machine Bogus")}, "state 'mstatus' is writable in unknown mode 'Bogus'"),

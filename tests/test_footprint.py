@@ -542,6 +542,18 @@ def test_insights_csv_names_the_line_of_a_too_wide_range():
         load_insights_csv(text, "i.csv")
 
 
+@pytest.mark.parametrize("rows, line", [
+    # The quoted name of the first record spans lines 2 and 3.
+    ([["B\nC", "Machine", "", "", "", "", "", ""], ["A", "Machine", "x0..x1000000"] + [""] * 5], 4),
+    ([["B\nC", "Machine", "x0..x1000000"] + [""] * 5, ["A", "Machine"] + [""] * 6], 2),
+])
+def test_insights_csv_names_the_line_a_record_starts_on(rows, line):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([INSIGHTS_COLUMNS, *rows])
+    with pytest.raises(MalformedLine, match=rf"^i\.csv:{line}: label range 'x0\.\.x1000000'"):
+        load_insights_csv(out.getvalue(), "i.csv")
+
+
 # -- insight_rows against an unmemoised writer ---------------------------------
 
 def _reference_rows(insights, backend):

@@ -102,11 +102,6 @@ def test_labels_naturally_ordered(table):
     assert labels == sorted(labels, key=natural_key)
 
 
-def test_covered_by(table):
-    assert "mip.MTIP" in table.covered_by("mip")
-    assert table.covered_by("mepc") == {"mepc"}
-
-
 def _random_entries(rng):
     """Registers with fields, bank elements, orphan fields and duplicates."""
     entries = []
@@ -135,10 +130,6 @@ def test_state_table_lookups_match_brute_force_scans():
         for name in sorted(names | set(table.entries)):
             want = [e for e in everything if e.parent == name and "." in e.label]
             assert table.fields_of(name) == want, (seed, name)
-            covered = {name}
-            if name in table.entries and "." not in name:
-                covered.update(e.label for e in want)
-            assert table.covered_by(name) == covered, (seed, name)
 
 
 def test_state_table_results_are_copies():
@@ -154,7 +145,6 @@ def test_state_table_results_are_copies():
     labels.reverse()
     assert [e.label for e in table.fields_of("mip")] == ["mip.MTIP"]
     assert table.labels() == ["mip", "mip.MTIP", "x2", "x10"]
-    assert table.covered_by("mip") == {"mip", "mip.MTIP"}
 
 
 def test_resolve_unknown_raises(table):
@@ -189,10 +179,10 @@ def test_fields_inherit_register_access(explicit):
 
 
 def test_bank_access_and_hardwired_zero(explicit):
-    assert explicit.readable("x0", "User")
-    assert not explicit.writable("x0", "Machine")
-    assert explicit.writable("f3", "User")
-    assert explicit.writable("v7", "Supervisor")
+    assert "User" in explicit.read_modes["x0"]
+    assert "Machine" not in explicit.write_modes["x0"]
+    assert "User" in explicit.write_modes["f3"]
+    assert "Supervisor" in explicit.write_modes["v7"]
 
 
 def test_internal_state_has_no_explicit_path(explicit):
@@ -351,6 +341,18 @@ def test_states_csv_rejects_a_repeated_state():
     load_states_csv("\n".join(rows) + "\n", "s.csv")
     with pytest.raises(MalformedLine, match=r"^s\.csv:4: duplicate state 'PC'$"):
         load_states_csv("\n".join(rows + rows[1:2]) + "\n", "s.csv")
+
+
+@pytest.mark.parametrize("records, line", [
+    # The quoted cell of the first record spans lines 2-3, or 2-4.
+    (['"P\nC",internal,64,,,,', "Q,internal,zz,,,,"], 4),
+    (['"P\nC",internal,zz,,,,', "Q,internal,64,,,,"], 2),
+    (['"P\n\nC",internal,64,,,,', "Q,internal,64,,"], 5),
+])
+def test_states_csv_names_the_line_a_record_starts_on(records, line):
+    text = "\n".join([",".join(STATES_COLUMNS), *records]) + "\n"
+    with pytest.raises(MalformedLine, match=rf"^s\.csv:{line}: (width must|expected 7 col)"):
+        load_states_csv(text, "s.csv")
 
 
 def test_range_expansion():

@@ -316,3 +316,11 @@ def test_cli_outputs_do_not_depend_on_the_hash_seed(tmp_path):
         )
         want = golden / "classify_Supervisor_Supervisor" / "sensitivity.json"
         assert (out / "sensitivity.json").read_bytes() == want.read_bytes()
+        # A pair of two modes also runs the swapped pair's side-channel sets.
+        subprocess.run(
+            [sys.executable, "-m", "sailstate", "classify", "--source", "User",
+             "--target", "Machine", "--format", "json", "--out", str(out / "um")],
+            env={**env, "PYTHONHASHSEED": seed}, check=True, capture_output=True,
+        )
+        want = golden / "classify_User_Machine" / "sensitivity.json"
+        assert (out / "um" / "sensitivity.json").read_bytes() == want.read_bytes()

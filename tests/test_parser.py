@@ -149,6 +149,18 @@ def test_duplicate_register_same_unit():
         _unit("register a : bits(8)\nregister a : bits(8)")
 
 
+def test_duplicate_bitfield_field_names_the_second_field():
+    # Before this was a parse error, the two fields made one state label
+    # twice, and the error blamed the backend INI.
+    text = "register cur_privilege : bits(2)\nbitfield B : bits(8) = { A : 1, A : 2 }\n"
+    with pytest.raises(
+        DuplicateDefinition, match=r"^b\.sail:2:33: field 'A' declared twice in bitfield 'B'$"
+    ):
+        _unit(text + "register r : B\n", "b.sail")
+    fields = _unit(text.replace("A : 2", "C : 2")).bitfield_types[0].fields
+    assert [f.name for f in fields] == ["A", "C"]
+
+
 def test_duplicate_register_across_files():
     with pytest.raises(CrossFileDuplicate):
         _model("register a : bits(8)", "register a : bits(8)")
