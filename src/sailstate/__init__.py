@@ -47,7 +47,7 @@ from .isa_model import (
 )
 from .parser import SailModel, parse_corpus, parse_unit
 from .tokens import Stream, tokenize
-from .traces import TraceBundle, load_traces, parse_trace, trace_footprint, validate
+from .traces import TraceBundle, load_traces, parse_trace, validate
 
 __version__ = "0.1.0"
 
@@ -90,7 +90,6 @@ __all__ = [
     "parse_unit",
     "propagate",
     "tokenize",
-    "trace_footprint",
     "validate",
     "__version__",
 ]

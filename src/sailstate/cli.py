@@ -37,7 +37,7 @@ from .classifier import (
     report_to_json,
     sensitivity_rows,
 )
-from .errors import IoError, MalformedLine, SailstateError
+from .errors import IoError, MalformedLine, SailstateError, read_text
 from .footprint import (
     INSIGHTS_COLUMNS,
     InstructionInsight,
@@ -91,13 +91,6 @@ def _corpus_paths(raw: list[str] | None) -> list[Path]:
     return paths
 
 
-def _read_text(path: str, what: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(f"cannot read {what} {path}: {exc}") from exc
-
-
 def _write_text(path: Path, text: str) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -141,8 +134,8 @@ def _analysis_inputs(
         if not (args.insights and args.states):
             raise SailstateError("--insights and --states must be given together")
         _reject_corpus_flags(args, "--insights/--states")
-        insights = load_insights_csv(_read_text(args.insights, "insights"), args.insights)
-        table, explicit = load_states_csv(_read_text(args.states, "states"), args.states)
+        insights = load_insights_csv(read_text(args.insights, "insights"), args.insights)
+        table, explicit = load_states_csv(read_text(args.states, "states"), args.states)
         return backend, insights, table, explicit
     _paths, _model, table, explicit, insights = _analyse_corpus(args, backend)
     return backend, insights, table, explicit
@@ -216,11 +209,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    manifest = parse_manifest(_read_text(args.manifest, "manifest"), args.manifest)
+    manifest = parse_manifest(read_text(args.manifest, "manifest"), args.manifest)
     if args.report:
         _reject_corpus_flags(args, "--report", ("source", "target", "insights", "states"))
         try:
-            report = report_from_json(_read_text(args.report, "report"))
+            report = report_from_json(read_text(args.report, "report"))
         except MalformedLine as exc:
             raise MalformedLine(f"{args.report}: {exc}") from None
     else:

@@ -41,6 +41,16 @@ class IoError(SailstateError):
     """A corpus or fixture file could not be read or written."""
 
 
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of `path`; a file that cannot be read is an IoError
+    that names it as `what`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {what} {path}: {exc}") from exc
+
+
 class BackendConfigError(SailstateError):
     pass
 
@@ -73,10 +83,6 @@ class MalformedSExpression(SailstateError):
 
 
 class MissingManifestEntry(SailstateError):
-    pass
-
-
-class MixedGroup(SailstateError):
     pass
 
 

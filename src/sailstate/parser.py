@@ -19,8 +19,8 @@ from typing import NamedTuple
 from .errors import (
     CrossFileDuplicate,
     DuplicateDefinition,
-    IoError,
     MalformedDeclaration,
+    read_text,
 )
 from .tokens import COMPARISON_OPS, Stream, tokenize
 
@@ -757,12 +757,7 @@ def parse_corpus(
     """
     units: list[SourceUnit] = []
     for p in paths:
-        try:
-            with open(p, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise IoError(f"cannot read corpus file {p}: {exc}") from exc
-        units.append(parse_unit(tokenize(text, str(p)), str(p)))
+        units.append(parse_unit(tokenize(read_text(p, "corpus file"), str(p)), str(p)))
     return merge_units(units, merge_duplicate_clauses=merge_duplicate_clauses)
 
 

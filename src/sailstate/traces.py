@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from . import jsonout
 from .errors import (
-    IoError,
     MalformedSExpression,
     MissingManifestEntry,
-    MixedGroup,
     TraceManifestError,
+    read_text,
 )
 from .footprint import InstructionInsight
 from .isa_model import StateTable, comma_rows, natural_key, state_label
@@ -88,43 +87,37 @@ def parse_sexprs(text: str, path: str = "<trace>") -> list:
     return top
 
 
-# -- trace events ------------------------------------------------------------
+# -- trace reading -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    kind: str                      # read-reg | write-reg
-    register: str
-    field_path: tuple[str, ...]
+StatePair = tuple[str, str | None]  # (register, first field or None)
 
 
 @dataclass(frozen=True)
 class TraceBundle:
-    instruction: str
-    group: str | None
-    events: tuple[TraceEvent, ...]
+    name: str                          # the instruction or group it traces
+    reads: frozenset[StatePair]
+    writes: frozenset[StatePair]
     source_path: str
 
-    @property
-    def name(self) -> str:
-        return self.group or self.instruction
 
-
-def _field_path(args) -> tuple[str, ...]:
-    """Field names from nested (field |F| ...) forms, outermost first."""
-    path: list[str] = []
+def _first_field(args) -> str | None:
+    """First atom of the first (field |F| ...) form, outermost first."""
     stack = list(reversed(args))
     while stack:
         item = stack.pop()
         if isinstance(item, list) and item and item[0] == "field":
-            path.extend([a for a in item[1:] if isinstance(a, str)][:1])  # first atom
+            atom = next((a for a in item[1:] if isinstance(a, str)), None)
+            if atom is not None:
+                return atom
             stack.extend(reversed(item[1:]))
-    return tuple(path)
+    return None
 
 
-def _trace_events(text: str, path: str) -> tuple[TraceEvent, ...]:
+def parse_trace(text: str, path: str = "<trace>", name: str = "") -> TraceBundle:
+    """The (register, field) pairs that the read-reg and write-reg events name."""
     forms = parse_sexprs(text, path)
-    events: list[TraceEvent] = []
+    pairs: dict[str, set[StatePair]] = {"read-reg": set(), "write-reg": set()}
     stack = list(reversed(forms))
     while stack:
         form = stack.pop()
@@ -133,7 +126,7 @@ def _trace_events(text: str, path: str) -> tuple[TraceEvent, ...]:
         head = form[0]
         if isinstance(head, list):
             stack.extend(reversed(form))
-        elif head in ("read-reg", "write-reg"):
+        elif head in pairs:
             register = next((a for a in form[1:] if isinstance(a, str)), None)
             if register is None:
                 # Lines are found only here: the head is the first token
@@ -145,17 +138,10 @@ def _trace_events(text: str, path: str) -> tuple[TraceEvent, ...]:
                 raise MalformedSExpression(
                     f"{head} event without a register name", path, _line(text, tokens, i)
                 )
-            events.append(TraceEvent(head, register, _field_path(form[2:])))
+            pairs[head].add((register, _first_field(form[2:])))
         else:
             stack.extend(reversed(form[1:]))
-    return tuple(events)
-
-
-def parse_trace(
-    text: str, path: str = "<trace>", *, instruction: str = "", group: str | None = None
-) -> TraceBundle:
-    """Extract the register read and write events, in file order."""
-    return TraceBundle(instruction, group, _trace_events(text, path), path)
+    return TraceBundle(name, frozenset(pairs["read-reg"]), frozenset(pairs["write-reg"]), path)
 
 
 # -- manifest ----------------------------------------------------------------
@@ -168,12 +154,7 @@ def load_traces(manifest_path: str) -> list[TraceBundle]:
     where group_flag is `instruction` or `group`. The mode column is accepted
     for producers that write it, but not used. `#` starts a comment.
     """
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(f"cannot read trace manifest {manifest_path}: {exc}") from exc
-
+    manifest = read_text(manifest_path, "trace manifest")
     base = os.path.dirname(os.path.abspath(manifest_path))
     bundles: list[TraceBundle] = []
     for lineno, raw, parts in comma_rows(manifest):
@@ -192,47 +173,17 @@ def load_traces(manifest_path: str) -> list[TraceBundle]:
                 f"{manifest_path}:{lineno}: group_flag must be 'instruction' "
                 f"or 'group', got {flag!r}"
             )
+        if not fname:
+            raise TraceManifestError(f"{manifest_path}:{lineno}: empty trace file name")
         tpath = fname if os.path.isabs(fname) else os.path.join(base, fname)
-        try:
-            with open(tpath, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise IoError(f"cannot read trace file {tpath}: {exc}") from exc
         # Reports name the file as the manifest does, so they do not depend
         # on where the manifest lives; errors name the resolved path.
-        instruction, group = (name, None) if flag == "instruction" else ("", name)
-        bundles.append(TraceBundle(instruction, group, _trace_events(text, tpath), fname))
+        bundle = parse_trace(read_text(tpath, "trace file"), tpath, name)
+        bundles.append(replace(bundle, source_path=fname))
     return bundles
 
 
-# -- footprints and validation ------------------------------------------------
-
-
-StatePair = tuple[str, str | None]  # (register, first field or None)
-
-
-@dataclass(frozen=True)
-class TraceFootprint:
-    name: str
-    reads: frozenset[StatePair]
-    writes: frozenset[StatePair]
-
-
-def trace_footprint(bundles: Iterable[TraceBundle]) -> TraceFootprint:
-    """Union of events across bundles of one instruction or one group."""
-    bundles = list(bundles)
-    if not bundles:
-        raise MixedGroup("no trace bundles given")
-    names = {b.name for b in bundles}
-    if len(names) != 1:
-        raise MixedGroup("bundles mix instructions/groups: " + ", ".join(sorted(names)))
-    reads: set[StatePair] = set()
-    writes: set[StatePair] = set()
-    for b in bundles:
-        for ev in b.events:
-            pair = (ev.register, ev.field_path[0] if ev.field_path else None)
-            (reads if ev.kind == "read-reg" else writes).add(pair)
-    return TraceFootprint(names.pop(), frozenset(reads), frozenset(writes))
+# -- validation ----------------------------------------------------------------
 
 
 STATUS_VALIDATED = "validated"
@@ -295,13 +246,12 @@ def validate(
             results.append(ValidationResult(name, STATUS_MISSING, (), (), ()))
             continue
         group = by_name[name]
-        fp = trace_footprint(group)
         scan = insights[name].footprint
         missing: list[tuple[str, str]] = []
         unknown: set[str] = set()
         for direction, pairs, have in (
-            ("read", fp.reads, scan.reads),
-            ("write", fp.writes, scan.writes),
+            ("read", frozenset().union(*(b.reads for b in group)), scan.reads),
+            ("write", frozenset().union(*(b.writes for b in group)), scan.writes),
         ):
             for register, field in sorted(pairs, key=lambda p: natural_key(state_label(*p))):
                 label = state_label(register, field)

@@ -133,7 +133,7 @@ def test_parse_and_analyse_sail(text):
 @given(st.one_of(st.text(), sexpr_text))
 def test_parse_sexprs_and_trace(text):
     _rejects_cleanly(parse_sexprs, text, "t.trace")
-    _rejects_cleanly(parse_trace, text, "t.trace", instruction="I")
+    _rejects_cleanly(parse_trace, text, "t.trace", name="I")
 
 
 @settings(derandomize=True)

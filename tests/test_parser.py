@@ -88,6 +88,27 @@ def test_scattered_function_clauses_union():
     assert ("a", None) in fn.harvest.reads
 
 
+def test_scattered_execute_declaration_is_read_around():
+    unit = _unit(
+        "scattered function execute\n"
+        "function clause execute ADD(rd) = { nop }\n"
+        "end execute\n"
+    )
+    assert [b.name for b in unit.execute_clauses] == ["ADD"]
+    assert unit.opaque_spans == ()
+
+
+def test_bitfield_width_may_be_a_type_alias():
+    unit = _unit("bitfield Mstatus : byte = { A : 0 }")
+    (mstatus,) = unit.bitfield_types
+    assert (mstatus.width, mstatus.width_alias) == (None, "byte")
+
+
+def test_type_alias_width_only_from_a_bits_literal():
+    unit = _unit("type xlenbits = bits(xlen)\ntype byte = bits(8)\n")
+    assert dict(unit.type_aliases) == {"xlenbits": None, "byte": 8}
+
+
 def test_function_merge_across_files():
     m = _model(
         "register a : bits(8)\nfunction clause f(x) = { a = x }",

@@ -4,7 +4,6 @@ from sailstate.errors import (
     IoError,
     MalformedSExpression,
     MissingManifestEntry,
-    MixedGroup,
     TraceManifestError,
 )
 from sailstate.traces import (
@@ -14,7 +13,6 @@ from sailstate.traces import (
     load_traces,
     parse_sexprs,
     parse_trace,
-    trace_footprint,
     validate,
 )
 
@@ -44,7 +42,7 @@ def test_parse_sexprs_atom_characters():
 ])
 def test_malformed_sexpr_names_path_and_line(text, line, message):
     with pytest.raises(MalformedSExpression) as info:
-        parse_trace(text, "t.trace", instruction="I")
+        parse_trace(text, "t.trace", name="I")
     assert str(info.value) == f"t.trace:{line}: {message}"
     assert info.value.line == line
 
@@ -72,50 +70,28 @@ def test_parse_trace_events():
       (cycle)
       (mem-write addr 4 val))
     """
-    bundle = parse_trace(text, "<t>", instruction="MRET")
-    kinds = [(e.kind, e.register, e.field_path) for e in bundle.events]
-    assert ("read-reg", "cur_privilege", ()) in kinds
-    assert ("write-reg", "mstatus", ("MPIE",)) in kinds
-    assert {e.kind for e in bundle.events} == {"read-reg", "write-reg"}
+    bundle = parse_trace(text, "<t>", name="MRET")
+    assert bundle.reads == {("cur_privilege", None)}
+    assert bundle.writes == {("mstatus", "MPIE")}
     assert bundle.name == "MRET"
 
 
 def test_parse_trace_nested_field_path_normalizes_to_first():
     text = "(trace (write-reg |vcsr| (field |VXRM| (field |HI|)) v))"
-    bundle = parse_trace(text, "<t>", instruction="VADD")
-    fp = trace_footprint([bundle])
-    assert sorted(fp.writes) == [("vcsr", "VXRM")]
+    bundle = parse_trace(text, "<t>", name="VADD")
+    assert bundle.writes == {("vcsr", "VXRM")}
 
 
 def test_parse_trace_requires_register_atom():
     with pytest.raises(MalformedSExpression):
-        parse_trace("(trace (read-reg))", "<t>", instruction="X")
+        parse_trace("(trace (read-reg))", "<t>", name="X")
 
 
 def test_parse_trace_handles_deep_nesting():
     depth = 5000
     text = "(trace " + "(seq " * depth + "(write-reg |mepc| nil v)" + ")" * depth + ")"
-    bundle = parse_trace(text, "<t>", instruction="DEEP")
-    assert [(e.kind, e.register) for e in bundle.events] == [("write-reg", "mepc")]
-
-
-def test_parse_trace_keeps_event_order():
-    text = "(trace (a (read-reg |x| v) (b (write-reg |y| v))) (read-reg |z| v))"
-    bundle = parse_trace(text, "<t>", instruction="I")
-    assert [e.register for e in bundle.events] == ["x", "y", "z"]
-
-
-def test_trace_footprint_unions_and_rejects_mixed():
-    a = parse_trace("(trace (read-reg |mepc| nil v))", "<a>", instruction="I")
-    b = parse_trace("(trace (write-reg |sepc| nil v))", "<b>", instruction="I")
-    fp = trace_footprint([a, b])
-    assert sorted(fp.reads) == [("mepc", None)]
-    assert sorted(fp.writes) == [("sepc", None)]
-    other = parse_trace("(trace)", "<c>", instruction="J")
-    with pytest.raises(MixedGroup):
-        trace_footprint([a, other])
-    with pytest.raises(MixedGroup):
-        trace_footprint([])
+    bundle = parse_trace(text, "<t>", name="DEEP")
+    assert (bundle.reads, bundle.writes) == (frozenset(), {("mepc", None)})
 
 
 # -- manifest loading -----------------------------------------------------------------
@@ -145,6 +121,15 @@ def test_load_traces_errors(tmp_path):
     m.write_text("just_one_column\n")
     with pytest.raises(TraceManifestError):
         load_traces(str(m))
+
+
+def test_load_traces_rejects_an_empty_trace_file_name(tmp_path):
+    # An empty file cell would otherwise resolve to the manifest's directory.
+    m = tmp_path / "m.csv"
+    m.write_text("# comment\n , MRET, instruction\n")
+    with pytest.raises(TraceManifestError) as info:
+        load_traces(str(m))
+    assert str(info.value) == f"{m}:2: empty trace file name"
 
 
 def test_load_traces_rejects_files_that_are_not_utf8(tmp_path):
@@ -193,7 +178,7 @@ def test_validate_flags_scanner_gaps(backend, bundles, table):
 def test_whole_register_trace_event_covered_by_fields(insights, table):
     # scanner tracks mstatus fields; a whole-register trace event is fine
     b = parse_trace(
-        "(trace (write-reg |mstatus| nil v))", "<t>", instruction="MRET"
+        "(trace (write-reg |mstatus| nil v))", "<t>", name="MRET"
     )
     report = validate({"MRET": insights["MRET"]}, [b], table)
     assert report.results[0].status == STATUS_VALIDATED
@@ -202,7 +187,7 @@ def test_whole_register_trace_event_covered_by_fields(insights, table):
 def test_field_trace_event_covered_by_whole_register(insights, table):
     # CSRRW writes whole satp; a field-granular trace event is fine
     b = parse_trace(
-        "(trace (write-reg |satp| (field |MODE|) v))", "<t>", instruction="CSRRW"
+        "(trace (write-reg |satp| (field |MODE|) v))", "<t>", name="CSRRW"
     )
     report = validate({"CSRRW": insights["CSRRW"]}, [b], table)
     assert report.results[0].status == STATUS_VALIDATED
@@ -212,7 +197,7 @@ def test_uncovered_event_is_reported_with_direction(insights, table):
     b = parse_trace(
         "(trace (read-reg |mepc| nil v) (write-reg |stvec| nil v))",
         "<t>",
-        instruction="ADD",
+        name="ADD",
     )
     report = validate({"ADD": insights["ADD"]}, [b], table)
     r = report.results[0]
@@ -220,7 +205,16 @@ def test_uncovered_event_is_reported_with_direction(insights, table):
     assert ("stvec", "write") in r.missing
 
 
+def test_bundles_of_one_name_are_checked_as_their_union(insights, table):
+    a = parse_trace("(trace (read-reg |mepc| nil v))", "a.trace", name="ADD")
+    b = parse_trace("(trace (write-reg |stvec| nil v))", "b.trace", name="ADD")
+    (r,) = validate({"ADD": insights["ADD"]}, [b, a], table).results
+    assert r.status == STATUS_VIOLATION
+    assert r.missing == (("mepc", "read"), ("stvec", "write"))
+    assert r.trace_files == ("a.trace", "b.trace")
+
+
 def test_unknown_trace_names_listed(insights, table):
-    b = parse_trace("(trace)", "<t>", instruction="NOT_AN_INSTRUCTION")
+    b = parse_trace("(trace)", "<t>", name="NOT_AN_INSTRUCTION")
     report = validate(insights, [b], table)
     assert report.unknown_names == ("NOT_AN_INSTRUCTION",)
