@@ -32,7 +32,6 @@ class SwapManifest:
     source: str
     target: str
     entries: dict[str, tuple[str, str]]  # label -> (action, provenance)
-    path: str = "<manifest>"
 
     def action_for(self, label: str) -> tuple[str, str, bool]:
         """(action, provenance, inherited). Fields without their own entry
@@ -89,7 +88,7 @@ def parse_manifest(text: str, path: str = "<manifest>") -> SwapManifest:
         raise MalformedLine(
             f"{path}: manifest must declare its mode pair with '@pair, SOURCE, TARGET'"
         )
-    return SwapManifest(source=source, target=target, entries=entries, path=path)
+    return SwapManifest(source=source, target=target, entries=entries)
 
 
 @dataclass(frozen=True)

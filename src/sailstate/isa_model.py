@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .backend import BackendConfig, BankSpec
 from .errors import BackendConfigError, MalformedLine, UnknownCsrAddress, UnknownState
-from .parser import Body, Harvest, SailModel, Segment, int_literal
+from .parser import Body, Harvest, SailModel, int_literal
 from .tokens import COMPARISON_OPS
 
 
@@ -116,9 +116,15 @@ def _register_width(regname: str, model: SailModel) -> int | None:
 
 def bank_labels(model: SailModel, bank: BankSpec) -> list[str]:
     """Labels of a register bank's elements; none when the corpus does not
-    declare the bank's register."""
+    declare the bank's register. The size comes from the corpus, so a bank of
+    more than MAX_LABEL_RANGE elements raises MalformedLine."""
     decl = model.registers.get(bank.register)
     size = (decl.rtype.size or 0) if decl is not None else 0
+    if size > MAX_LABEL_RANGE:
+        raise MalformedLine(
+            f"{decl.path}: bank register {bank.register!r} has {size} elements, "
+            f"more than {MAX_LABEL_RANGE}"
+        )
     return [f"{bank.prefix}{i}" for i in range(size)]
 
 
@@ -182,105 +188,85 @@ def _maker(e: StateEntry) -> str:
 # -- explicit access -------------------------------------------------------
 
 
+def _bits(value: int, span: tuple[int, int]) -> int:
+    """Bits hi..lo of a non-negative value, unsigned. No mask is built, so a
+    span of any width costs no more than the value itself."""
+    hi, lo = span
+    v, width = value >> lo, hi - lo + 1
+    return v - (v >> width << width)
+
+
 @dataclass(frozen=True)
 class CsrPermissionRule:
-    """How a CSR address encodes its own access policy."""
+    """How a CSR address encodes its own access policy, in (hi, lo) slices."""
 
-    min_priv_slice: tuple[int, int]            # (hi, lo), unsigned level
-    read_only_slice: tuple[int, int] | None
-    read_only_value: int | None
+    min_priv_slice: tuple[int, int]  # unsigned level
+    read_only_slice: tuple[int, int]
+    read_only_value: int
 
     def min_level(self, address: int) -> int:
-        hi, lo = self.min_priv_slice
-        return (address >> lo) & ((1 << (hi - lo + 1)) - 1)
+        return _bits(address, self.min_priv_slice)
 
     def is_read_only(self, address: int) -> bool:
-        if self.read_only_slice is None or self.read_only_value is None:
-            return False
-        hi, lo = self.read_only_slice
-        return ((address >> lo) & ((1 << (hi - lo + 1)) - 1)) == self.read_only_value
+        return _bits(address, self.read_only_slice) == self.read_only_value
 
 
 DEFAULT_PERMISSION_RULE = CsrPermissionRule((9, 8), (11, 10), 0b11)
 
 
-def _param_slices(
-    fn: Body, clause: Segment
-) -> tuple[dict[str, tuple[int, int]], list[tuple[tuple[int, int], int]]]:
-    """Find PARAM[hi .. lo] slices in one clause of a function body.
-
-    Returns let-bound aliases of plain slices, and (slice, value) pairs for
-    slices compared against a numeric literal with ==.
-    """
-    toks, start, n = clause
-    kinds, texts = toks.kinds, toks.texts
-    params = set(fn.params)
-    aliases: dict[str, tuple[int, int]] = {}
-    equality_tests: list[tuple[tuple[int, int], int]] = []
-    for i in range(start, n):
-        if kinds[i] != "identifier" or texts[i] not in params:
-            continue
-        # shape: PARAM [ LIT .. LIT ]
-        if (
-            i + 5 < n
-            and texts[i + 1] == "["
-            and kinds[i + 2] == "literal"
-            and texts[i + 3] == ".."
-            and kinds[i + 4] == "literal"
-            and texts[i + 5] == "]"
-        ):
-            hi = int_literal(toks, i + 2, f"address slice in {fn.name!r}")
-            lo = int_literal(toks, i + 4, f"address slice in {fn.name!r}")
-            span = (hi, lo) if hi >= lo else (lo, hi)
-            if i - start >= 3 and texts[i - 3] == "let" and kinds[i - 2] == "identifier" and texts[i - 1] == "=":
-                aliases[texts[i - 2]] = span
-            if (
-                i + 7 < n
-                and texts[i + 6] == "=="
-                and kinds[i + 7] == "literal"
-                and not texts[i + 7].startswith('"')
-            ):
-                equality_tests.append(
-                    (span, int_literal(toks, i + 7, f"read-only test in {fn.name!r}"))
-                )
-    return aliases, equality_tests
-
-
 def extract_permission_rule(fn: Body) -> CsrPermissionRule:
     """Recover the address-bit policy from a permission-check function.
 
-    Looks for a let-bound address slice used in an order comparison in the
-    same clause (the minimum privilege level) and an address slice
-    equality-tested against a literal (the read-only marker). Falls back to
-    the conventional bit positions for whichever half is not found.
+    Reads each clause once for PARAM[hi .. lo] slices. The minimum privilege
+    level is the first let-bound slice that an order comparison in the same
+    clause has as an operand, wherever in the clause it is bound. The
+    read-only marker is the first slice tested with == against a numeric
+    literal. Each half falls back to the conventional bit positions on its
+    own; a warning says so only when neither half is found.
     """
+    params = set(fn.params)
     min_priv: tuple[int, int] | None = None
-    equality_tests: list[tuple[tuple[int, int], int]] = []
-    for clause in fn.tokens:
-        aliases, tests = _param_slices(fn, clause)
-        equality_tests += tests
-        toks, start, n = clause
+    read_only: tuple[tuple[int, int], int] | None = None
+    for toks, start, n in fn.tokens:
         kinds, texts = toks.kinds, toks.texts
+        aliases: dict[str, tuple[int, int]] = {}
+        operands: list[str] = []  # identifiers beside an order comparison
         for i in range(start, n):
-            if min_priv is not None:
-                break
             if kinds[i] == "operator" and texts[i] in (">=", "<=", ">", "<"):
-                for j in (i - 1, i + 1):
-                    if start <= j < n and kinds[j] == "identifier" and texts[j] in aliases:
-                        min_priv = aliases[texts[j]]
-                        break
-    read_only = equality_tests[0] if equality_tests else None
+                operands += (
+                    texts[j] for j in (i - 1, i + 1) if start <= j < n and kinds[j] == "identifier"
+                )
+            elif (  # shape: PARAM [ LIT .. LIT ]
+                kinds[i] == "identifier" and texts[i] in params
+                and i + 5 < n
+                and texts[i + 1] == "["
+                and kinds[i + 2] == "literal"
+                and texts[i + 3] == ".."
+                and kinds[i + 4] == "literal"
+                and texts[i + 5] == "]"
+            ):
+                hi = int_literal(toks, i + 2, f"address slice in {fn.name!r}")
+                lo = int_literal(toks, i + 4, f"address slice in {fn.name!r}")
+                span = (max(hi, lo), min(hi, lo))
+                if i - start >= 3 and texts[i - 3] == "let" and kinds[i - 2] == "identifier" and texts[i - 1] == "=":
+                    aliases[texts[i - 2]] = span
+                if (
+                    i + 7 < n and texts[i + 6] == "==" and kinds[i + 7] == "literal"
+                    and not texts[i + 7].startswith('"')
+                ):
+                    value = int_literal(toks, i + 7, f"read-only test in {fn.name!r}")
+                    read_only = read_only or (span, value)
+        if min_priv is None:
+            min_priv = next((aliases[t] for t in operands if t in aliases), None)
     if min_priv is None and read_only is None:
         warnings.warn(
             f"could not recover address-bit policy from {fn.name}; "
             "using the conventional bit positions",
             stacklevel=2,
         )
-    return CsrPermissionRule(
-        min_priv_slice=min_priv or DEFAULT_PERMISSION_RULE.min_priv_slice,
-        read_only_slice=read_only[0] if read_only else DEFAULT_PERMISSION_RULE.read_only_slice,
-        read_only_value=read_only[1] if read_only else DEFAULT_PERMISSION_RULE.read_only_value,
-    )
+    default = DEFAULT_PERMISSION_RULE
+    read_only_slice, value = read_only or (default.read_only_slice, default.read_only_value)
+    return CsrPermissionRule(min_priv or default.min_priv_slice, read_only_slice, value)
 
 
 @dataclass
@@ -386,7 +372,7 @@ _RANGE_RE = re.compile(r"^([A-Za-z_][\w.]*?)([0-9]+)\.\.([A-Za-z_][\w.]*?)([0-9]
 _SUFFIX_RE = re.compile(r"^([A-Za-z_][\w.]*?)([0-9]+)$")
 
 
-MAX_LABEL_RANGE = 4096  # labels one range may expand to
+MAX_LABEL_RANGE = 4096  # labels one range or register bank may expand to
 
 
 def expand_label_range(text: str) -> list[str]:

@@ -524,18 +524,26 @@ def _run(*argv):
     return subprocess.run([sys.executable, "-m", "sailstate", *argv], capture_output=True, text=True)
 
 
-def test_a_state_label_made_twice_exits_one(tmp_path):
-    """Two banks with one prefix, or a register named like a bank element,
-    would lose one maker's states from the table."""
-    ini = FIXTURES / "broken" / "shared_prefix.ini"
-    proc = _run("scan", "--backend", str(ini), "--out", str(tmp_path / "shared"))
-    assert proc.returncode == 1, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr == (
-        f"sailstate: error: {ini}: state 'x0' names both an element of bank register 'Fs' "
-        "and an element of bank register 'Xs'\n"
-    )
+BROKEN_CASES = (FIXTURES / "broken" / "cases.txt").read_text().splitlines()
 
+
+@pytest.mark.parametrize("row", BROKEN_CASES, ids=lambda row: row.split("|")[0].rsplit("/", 1)[-1])
+def test_broken_input_exits_one_with_its_error_line(tmp_path, row):
+    """Each `argv|error line` row of cases.txt, the table the CI
+    console-script step also reads; argv splits on whitespace, as bash
+    splits it there."""
+    args, expected = row.split("|", 1)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sailstate", *args.split(), "--out", str(tmp_path / "out")],
+        stdin=subprocess.DEVNULL, capture_output=True, text=True, cwd=REPO,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == f"sailstate: error: {expected}\n"
+
+
+def test_a_state_label_made_twice_exits_one(tmp_path):
+    """A register named like a bank element would lose one maker's states
+    from the table. Two banks with one prefix are a row of cases.txt."""
     regs = tmp_path / "regs.sail"
     regs.write_text(
         "register cur_privilege : Privilege\n"
@@ -554,14 +562,34 @@ def test_a_state_label_made_twice_exits_one(tmp_path):
     assert f"{ini}: state 'x2' names both an element of bank register 'Xs' and register 'x2'" in proc.stderr
 
 
-def test_a_field_named_twice_in_a_bitfield_exits_one(tmp_path):
-    path = FIXTURES / "broken" / "duplicate_field.sail"
-    proc = _run("scan", "--corpus", str(path), "--out", str(tmp_path / "dup"))
-    assert proc.returncode == 1, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr == (
-        f"sailstate: error: {path}:2:33: field 'A' declared twice in bitfield 'B'\n"
+def test_a_permission_slice_of_any_width_scans(tmp_path, capsys):
+    """The level slice csr[10**20 .. 8] reads address bits 8 and up; no mask
+    of 10**20 bits is built."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(bundled_corpus_dir(), corpus)
+    regs = corpus / "sys_regs.sail"
+    regs.write_text(regs.read_text().replace("csr[9 .. 8]", f"csr[{10**20} .. 8]"))
+    assert main(["scan", "--corpus", str(corpus), "--out", str(tmp_path / "out")]) == 0
+    assert "140 states" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("size", [4096, 4097])
+def test_a_register_bank_holds_at_most_4096_elements(tmp_path, capsys, size):
+    corpus = tmp_path / "bank.sail"
+    corpus.write_text(
+        f"register cur_privilege : bits(2)\nregister Xs : vector({size}, dec, bits(64))\n"
+        "function step() = ()\n"
     )
+    code = main(["scan", "--corpus", str(corpus), "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    if size == 4096:
+        assert (code, err) == (0, "")
+        assert "4097 states" in out
+    else:
+        assert code == 1
+        assert err == (
+            f"sailstate: error: {corpus}: bank register 'Xs' has 4097 elements, more than 4096\n"
+        )
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -13,6 +13,7 @@ from sailstate.isa_model import (
     DEFAULT_PERMISSION_RULE,
     MAX_LABEL_RANGE,
     STATES_COLUMNS,
+    CsrPermissionRule,
     StateEntry,
     StateTable,
     compress_labels,
@@ -241,6 +242,12 @@ def test_nonstandard_permission_function():
     assert ex.read_modes["ctl_a"] == frozenset({"User", "Supervisor", "Machine"})
     assert ex.read_modes["ctl_b"] == frozenset({"Machine"})
     assert ex.write_modes["ctl_ro"] == frozenset()
+
+
+def test_a_permission_slice_may_be_any_width():
+    rule = CsrPermissionRule((10**20, 8), (10**20, 10**20 - 3), 0)
+    assert rule.min_level(0xF11) == 0xF
+    assert rule.is_read_only(0xF11)
 
 
 def test_unrecognizable_permission_body_falls_back():

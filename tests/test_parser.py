@@ -8,7 +8,7 @@ from sailstate.errors import (
     IoError,
     MalformedDeclaration,
 )
-from sailstate.isa_model import CsrPermissionRule, extract_permission_rule
+from sailstate.isa_model import DEFAULT_PERMISSION_RULE, CsrPermissionRule, extract_permission_rule
 from sailstate.parser import _TOP_ANCHORS, merge_units, parse_corpus, parse_unit
 from sailstate.tokens import KEYWORDS, tokenize
 
@@ -333,6 +333,33 @@ def test_an_alias_counts_only_inside_its_clause():
     assert extract_permission_rule(model.functions["ok"]) == CsrPermissionRule((9, 8), (11, 10), 3)
     same_clause = _model("function ok(addr) = { let lvl = addr[5 .. 4]; lvl >= cur }\n")
     assert extract_permission_rule(same_clause.functions["ok"]).min_priv_slice == (5, 4)
+
+
+_NO_POLICY = "could not recover address-bit policy from ok; using the conventional bit positions"
+
+
+@pytest.mark.parametrize("clauses, rule, warned", [
+    (["{ lvl >= cur; let lvl = addr[5 .. 4]; () }"], CsrPermissionRule((5, 4), (11, 10), 3), []),
+    (["{ let lvl = addr[5 .. 4]; cur <= lvl }"], CsrPermissionRule((5, 4), (11, 10), 3), []),
+    (
+        ["{ addr[3 .. 2] == 0b01 }", "{ addr[1 .. 0] == 0b10 }"],
+        CsrPermissionRule((9, 8), (3, 2), 1), [],
+    ),
+    (['{ addr[3 .. 2] == "x" }'], DEFAULT_PERMISSION_RULE, [_NO_POLICY]),
+], ids=["alias_bound_after_its_comparison", "alias_on_the_right", "first_equality_test", "string_is_no_value"])
+def test_permission_rule_reading_order(clauses, rule, warned):
+    model = _model(*(f"function ok(addr) = {body}" for body in clauses))
+    assert _rule(model.functions["ok"]) == (rule, warned)
+
+
+def test_a_bad_slice_literal_in_a_later_clause_still_raises():
+    # The first clause already gave the level; the second is still read.
+    model = _model(
+        "function ok(addr) = { let lvl = addr[5 .. 4]; lvl >= cur }",
+        "function ok(addr) = { addr[0x_ .. 2] }",
+    )
+    with pytest.raises(MalformedDeclaration, match=r"^u1\.sail:1:28: bad numeric literal '0x_'"):
+        extract_permission_rule(model.functions["ok"])
 
 
 # Every file's brackets must nest, also where no step reads them. One stray
