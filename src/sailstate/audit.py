@@ -8,7 +8,9 @@ reports mishandled, timing-prone, and redundant handling.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import jsonout
 from .classifier import SensitivityReport
@@ -25,6 +27,7 @@ VERDICT_OK = "ok"
 VERDICT_MISHANDLED = "mishandled_not_swapped"
 VERDICT_TIMING = "timing_channel_conditional"
 VERDICT_REDUNDANT = "redundant_swap"
+VERDICTS = (VERDICT_OK, VERDICT_MISHANDLED, VERDICT_TIMING, VERDICT_REDUNDANT)
 
 
 @dataclass(frozen=True)
@@ -91,8 +94,8 @@ def parse_manifest(text: str, path: str = "<manifest>") -> SwapManifest:
     return SwapManifest(source=source, target=target, entries=entries)
 
 
-@dataclass(frozen=True)
-class AuditFinding:
+class AuditFinding(NamedTuple):
+    """One state's grading. A tuple, built once per state of every audit."""
     state: str
     kind: str
     action: str
@@ -109,14 +112,19 @@ class AuditOutcome:
     findings: tuple[AuditFinding, ...]
     unknown_states: tuple[str, ...]  # manifest entries absent from the report
 
+    @functools.cached_property
+    def groups(self) -> dict[str, tuple[AuditFinding, ...]]:
+        """The findings of each verdict, in VERDICTS order, grouped in one pass."""
+        groups: dict[str, list[AuditFinding]] = {v: [] for v in VERDICTS}
+        for f in self.findings:
+            groups[f.verdict].append(f)
+        return {v: tuple(group) for v, group in groups.items()}
+
     def by_verdict(self, verdict: str) -> tuple[AuditFinding, ...]:
-        return tuple(f for f in self.findings if f.verdict == verdict)
+        return self.groups.get(verdict, ())
 
     def counts(self) -> dict[str, int]:
-        out = {v: 0 for v in (VERDICT_OK, VERDICT_MISHANDLED, VERDICT_TIMING, VERDICT_REDUNDANT)}
-        for f in self.findings:
-            out[f.verdict] += 1
-        return out
+        return {v: len(group) for v, group in self.groups.items()}
 
 
 def _verdict(sensitive: bool, action: str) -> str:
@@ -140,7 +148,7 @@ def audit(manifest: SwapManifest, report: SensitivityReport) -> AuditOutcome:
             f"report is for ({report.source}, {report.target})"
         )
     by_state = report.by_state()
-    labels = sorted(set(by_state) | set(manifest.entries), key=natural_key)
+    labels = sorted(by_state.keys() | manifest.entries.keys(), key=natural_key)
     findings: list[AuditFinding] = []
     unknown: list[str] = []
     for label in labels:
@@ -149,14 +157,10 @@ def audit(manifest: SwapManifest, report: SensitivityReport) -> AuditOutcome:
         if sens is None:
             unknown.append(label)
         sensitive = sens.sensitive if sens else False
+        # Positional arguments: this runs once per state.
         findings.append(AuditFinding(
-            state=label,
-            kind=sens.kind if sens else "",
-            action=action,
-            verdict=_verdict(sensitive, action),
-            classes=sens.classes if sens else (),
-            provenance=provenance,
-            inherited=inherited,
+            label, sens.kind if sens else "", action, _verdict(sensitive, action),
+            sens.classes if sens else (), provenance, inherited,
         ))
     return AuditOutcome(
         source=report.source,
@@ -197,11 +201,10 @@ def outcome_to_text(outcome: AuditOutcome) -> str:
         f"audit of ({outcome.source} -> {outcome.target}) context switch",
         "",
     ]
-    counts = outcome.counts()
     order = (VERDICT_MISHANDLED, VERDICT_TIMING, VERDICT_REDUNDANT, VERDICT_OK)
     for verdict in order:
         group = outcome.by_verdict(verdict)
-        lines.append(f"{verdict}: {counts[verdict]}")
+        lines.append(f"{verdict}: {len(group)}")
         if verdict == VERDICT_OK or not group:
             continue
         width = max(len(f.state) for f in group)

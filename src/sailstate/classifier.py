@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping
+from typing import Container, Mapping, NamedTuple, NoReturn
 
 from . import jsonout
 from .backend import BackendConfig
@@ -172,8 +172,8 @@ def build_access_matrix(
     return AccessMatrix(modes, table, sets)
 
 
-@dataclass(frozen=True)
-class Sensitivity:
+class Sensitivity(NamedTuple):
+    """One state's verdict. A tuple, built once per state of every report."""
     state: str
     kind: str
     source: str
@@ -350,15 +350,25 @@ def _json_typed(value, kind: type, key: str, index: int | None = None):
     raise MalformedLine(f"{where} must be a {kind.__name__}, got {type(value).__name__}")
 
 
-def _json_strs(value, key: str, index: int) -> tuple[str, ...]:
-    """`value` as a tuple if it is a list of str, else MalformedLine."""
-    if type(value) is list:
-        try:
-            "".join(value)  # TypeError on an item that is not a str
-            return tuple(value)
-        except TypeError:
-            pass
-    raise MalformedLine(f"states[{index}].{key} must be a list of strings")
+def _state_fault(item: dict, i: int, seen: Container[str]) -> NoReturn:
+    """Raise the error of the first bad field of `states[i]`, in field order."""
+    if "state" not in item:
+        raise MalformedLine(f"states[{i}] lacks key 'state'")
+    state = _json_typed(item["state"], str, "state", i)
+    if not state:
+        raise MalformedLine(f"states[{i}] has an empty state name")
+    if state in seen:
+        raise MalformedLine(f"states[{i}] repeats state {state!r}")
+    _json_typed(item.get("kind", ""), str, "kind", i)
+    if "sensitive" not in item:
+        raise MalformedLine(f"states[{i}] lacks key 'sensitive'")
+    _json_typed(item["sensitive"], bool, "sensitive", i)
+    for key in ("classes", "rules_fired", "justification"):
+        value = item.get(key, [])
+        if type(value) is not list or not all(type(v) is str for v in value):
+            raise MalformedLine(f"states[{i}].{key} must be a list of strings")
+    _json_typed(item.get("bidirectional", False), bool, "bidirectional", i)
+    raise AssertionError(f"states[{i}] has no fault")
 
 
 def report_from_json(text: str) -> SensitivityReport:
@@ -371,28 +381,35 @@ def report_from_json(text: str) -> SensitivityReport:
     try:
         source = _json_typed(doc["source"], str, "source")
         target = _json_typed(doc["target"], str, "target")
-        verdicts: dict[str, Sensitivity] = {}
-        for i, item in enumerate(doc["states"]):
-            state = _json_typed(item["state"], str, "state", i)
-            if not state:
-                raise MalformedLine(f"states[{i}] has an empty state name")
-            if state in verdicts:
-                raise MalformedLine(f"states[{i}] repeats state {state!r}")
-            # Positional arguments: this runs once per state of a saved report.
-            verdicts[state] = Sensitivity(
-                state,
-                _json_typed(item.get("kind", ""), str, "kind", i),
-                source,
-                target,
-                _json_typed(item["sensitive"], bool, "sensitive", i),
-                _json_strs(item.get("classes", []), "classes", i),
-                _json_strs(item.get("rules_fired", []), "rules_fired", i),
-                _json_strs(item.get("justification", []), "justification", i),
-                _json_typed(item.get("bidirectional", False), bool, "bidirectional", i),
-            )
-        results = tuple(verdicts.values())
+        states = doc["states"]
     except KeyError as exc:
         raise MalformedLine(f"sensitivity report lacks key {exc}") from None
-    except (TypeError, AttributeError) as exc:
+    except TypeError as exc:
         raise MalformedLine(f"sensitivity report has the wrong shape: {exc}") from None
-    return SensitivityReport(source=source, target=target, results=results)
+    if type(states) is not list:
+        raise MalformedLine("states must be a list")
+    # Each field is tested inline, as this runs once per state of a saved
+    # report; _state_fault only finds and words the error.
+    verdicts: dict[str, Sensitivity] = {}
+    for i, item in enumerate(states):
+        if type(item) is not dict:
+            raise MalformedLine(f"states[{i}] must be an object")
+        get = item.get
+        state, kind, sensitive = get("state"), get("kind", ""), get("sensitive")
+        classes, rules = get("classes", []), get("rules_fired", [])
+        justification, bidirectional = get("justification", []), get("bidirectional", False)
+        if not (
+            type(state) is str and state and state not in verdicts and type(kind) is str
+            and type(sensitive) is bool and type(bidirectional) is bool
+            and type(classes) is list and type(rules) is list and type(justification) is list
+        ):
+            _state_fault(item, i, verdicts)
+        try:
+            "".join(classes + rules + justification)  # TypeError on an item that is not a str
+        except TypeError:
+            _state_fault(item, i, verdicts)
+        verdicts[state] = Sensitivity(
+            state, kind, source, target, sensitive,
+            tuple(classes), tuple(rules), tuple(justification), bidirectional,
+        )
+    return SensitivityReport(source=source, target=target, results=tuple(verdicts.values()))

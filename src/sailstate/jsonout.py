@@ -7,6 +7,11 @@ container is one `str.join` and every string goes through
 `encode_basestring_ascii`, the C function `json.dumps` itself uses, so the
 escaping is the same by construction.
 
+A list of records, dicts that all hold the first one's key objects in its
+order as the dicts of one dict display do, fills one `%` template whose keys
+are escaped once; each key's values are encoded as one column. Any other
+list, one record of another shape among them, is written item by item.
+
 Documents are built from `dict` (str keys), `list`, `str`, `int`, `bool` and
 `None`, matched by exact type. Anything else, a float, a tuple or a `str`
 subclass among them, raises `TypeError` rather than risk bytes that differ
@@ -16,6 +21,7 @@ from `json`.
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _string
+from operator import is_
 
 _INDENT = "  "
 
@@ -44,11 +50,7 @@ def _encode(value, newline: str) -> str:
         if not value:
             return "[]"
         inner = newline + _INDENT
-        if all(type(item) is str for item in value):
-            items = list(map(_string, value))
-        else:
-            items = [_encode(item, inner) for item in value]
-        return _lines(items, "[]", inner, newline)
+        return _lines(_records(value, inner) or _column(value, inner), "[]", inner, newline)
     if kind is bool:
         return "true" if value else "false"
     if kind is int:
@@ -56,6 +58,36 @@ def _encode(value, newline: str) -> str:
     if value is None:
         return "null"
     raise TypeError(f"cannot write {kind.__name__} as JSON")
+
+
+def _column(values, newline: str) -> list[str]:
+    """Each of `values` encoded; strings and lists of strings in one `map`
+    or comprehension over the whole sequence."""
+    if all(type(v) is str for v in values):
+        return list(map(_string, values))
+    if all(type(v) is list for v in values) and all(type(s) is str for v in values for s in v):
+        inner, end = newline + _INDENT, newline + "]"
+        comma = "," + inner
+        return ["[" + inner + comma.join(map(_string, v)) + end if v else "[]" for v in values]
+    return [_encode(v, newline) for v in values]
+
+
+def _records(value: list, newline: str) -> list[str] | None:
+    """The records of `value` filled into one template, or None unless every
+    item is a dict holding the first one's key objects in its order."""
+    first = value[0]
+    if type(first) is not dict or not first:
+        return None
+    keys = list(first)
+    if not all(
+        type(item) is dict and len(item) == len(keys) and all(map(is_, item, keys))
+        for item in value
+    ):
+        return None
+    inner = newline + _INDENT
+    fields = ("," + inner).join(_key(key).replace("%", "%%") + "%s" for key in keys)
+    columns = [_column(column, inner) for column in zip(*map(dict.values, value))]
+    return list(map(("{" + inner + fields + newline + "}").__mod__, zip(*columns)))
 
 
 def _key(key) -> str:

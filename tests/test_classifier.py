@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 
@@ -334,7 +333,7 @@ def test_classify_all_matches_per_label_classify(matrix, source, shift):
                 assert v.rules == ("field-escalation",), v
                 assert set(v.classes) == set().union(*(f.classes for f in fields))
             else:
-                assert dataclasses.replace(v, bidirectional=False) == alone
+                assert v._replace(bidirectional=False) == alone
             swapped = classify(v.state, target, source, matrix)
             assert v.bidirectional == (
                 CLASS_SIDE in v.classes and (source == target or CLASS_SIDE in swapped.classes)
@@ -398,6 +397,9 @@ def test_report_json_round_trip(report_ss):
     assert doc["summary"]["sensitive_states"] == report_ss.sensitive_count
 
 
+_DROP = object()  # a `change` value that deletes the key
+
+
 @pytest.mark.parametrize("change, message", [
     ({"source": 5}, r"^source must be a str, got int$"),
     ({"target": None}, r"^target must be a str, got NoneType$"),
@@ -410,6 +412,9 @@ def test_report_json_round_trip(report_ss):
     ({"justification": None}, r"^states\[1\]\.justification must be a list of strings$"),
     ({"state": "mepc"}, r"^states\[1\] repeats state 'mepc'$"),
     ({"state": ""}, r"^states\[1\] has an empty state name$"),
+    ({"sensitive": _DROP}, r"^states\[1\] lacks key 'sensitive'$"),
+    ({"states": [{"state": "mepc", "sensitive": True}, "sepc"]}, r"^states\[1\] must be an object$"),
+    ({"states": {"mepc": {"sensitive": True}}}, r"^states must be a list$"),
 ])
 def test_report_json_rejects_wrong_types_and_repeated_states(change, message):
     states = [
@@ -418,7 +423,11 @@ def test_report_json_rejects_wrong_types_and_repeated_states(change, message):
     ]
     doc = {"source": "Supervisor", "target": "Supervisor", "states": states}
     for key, value in change.items():
-        (doc if key in doc else states[1])[key] = value
+        where = doc if key in doc else states[1]
+        if value is _DROP:
+            del where[key]
+        else:
+            where[key] = value
     with pytest.raises(MalformedLine, match=message):
         report_from_json(json.dumps(doc))
 

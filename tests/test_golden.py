@@ -6,6 +6,9 @@ the JSON writers moved to `jsonout.dumps`; any change to them is a change in
 results. Regenerate only for a deliberate, documented behaviour change.
 """
 
+import json
+import random
+
 import pytest
 
 from sailstate.cli import main
@@ -84,3 +87,19 @@ def test_audit_matches_golden(tmp_path, name, exit_code):
     for filename in ("findings.json", "findings.txt"):
         want = (GOLDEN / f"audit_{name}" / filename).read_bytes()
         assert (tmp_path / filename).read_bytes() == want, f"{name}/{filename}"
+
+
+def test_audit_does_not_depend_on_report_order(tmp_path):
+    """A saved report may list its states in any order; every audit sorts
+    them, so a shuffled report grades to the same bytes."""
+    doc = json.loads((GOLDEN / "classify_Supervisor_Supervisor" / "sensitivity.json").read_text())
+    random.Random(26).shuffle(doc["states"])
+    report = tmp_path / "shuffled.json"
+    report.write_text(json.dumps(doc))
+    for name, exit_code in (("ace", 0), ("keystone", 3), ("komodo", 3), ("salus", 4)):
+        out = tmp_path / name
+        argv = ["audit", "--report", str(report), "--manifest", str(FIXTURES / "audit" / f"{name}.csv")]
+        assert main(argv + ["--out", str(out)]) == exit_code
+        for filename in ("findings.json", "findings.txt"):
+            want = (GOLDEN / f"audit_{name}" / filename).read_bytes()
+            assert (out / filename).read_bytes() == want, f"{name}/{filename}"
