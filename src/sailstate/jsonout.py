@@ -61,14 +61,9 @@ def _encode(value, newline: str) -> str:
 
 
 def _column(values, newline: str) -> list[str]:
-    """Each of `values` encoded; strings and lists of strings in one `map`
-    or comprehension over the whole sequence."""
+    """Each of `values` encoded; all strings in one `map`."""
     if all(type(v) is str for v in values):
         return list(map(_string, values))
-    if all(type(v) is list for v in values) and all(type(s) is str for v in values for s in v):
-        inner, end = newline + _INDENT, newline + "]"
-        comma = "," + inner
-        return ["[" + inner + comma.join(map(_string, v)) + end if v else "[]" for v in values]
     return [_encode(v, newline) for v in values]
 
 
@@ -76,10 +71,8 @@ def _records(value: list, newline: str) -> list[str] | None:
     """The records of `value` filled into one template, or None unless every
     item is a dict holding the first one's key objects in its order."""
     first = value[0]
-    if type(first) is not dict or not first:
-        return None
-    keys = list(first)
-    if not all(
+    keys = list(first) if type(first) is dict else None
+    if not keys or not all(
         type(item) is dict and len(item) == len(keys) and all(map(is_, item, keys))
         for item in value
     ):

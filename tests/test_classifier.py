@@ -413,8 +413,11 @@ _DROP = object()  # a `change` value that deletes the key
     ({"state": "mepc"}, r"^states\[1\] repeats state 'mepc'$"),
     ({"state": ""}, r"^states\[1\] has an empty state name$"),
     ({"sensitive": _DROP}, r"^states\[1\] lacks key 'sensitive'$"),
+    ({"state": _DROP}, r"^states\[1\] lacks key 'state'$"),
     ({"states": [{"state": "mepc", "sensitive": True}, "sepc"]}, r"^states\[1\] must be an object$"),
     ({"states": {"mepc": {"sensitive": True}}}, r"^states must be a list$"),
+    ({"states": ""}, r"^states must be a list$"),
+    ({"states": None}, r"^states must be a list$"),
 ])
 def test_report_json_rejects_wrong_types_and_repeated_states(change, message):
     states = [
