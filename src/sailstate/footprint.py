@@ -376,14 +376,16 @@ def load_insights_csv(
 ) -> dict[str, InstructionInsight]:
     """Inverse of insight_rows, minus call paths (not needed downstream)."""
     # Rows repeat cells (every instruction carries the baseline), so each
-    # distinct cell is expanded once per call, and equal cells share one set.
+    # distinct cell is expanded once per call, and equal cells share one set;
+    # only a token holding '..' can be a range.
     parsed: dict[str, frozenset[str]] = {}
     modes: dict[str, frozenset[str]] = {}
 
     def labels(cell: str) -> frozenset[str]:
         if cell not in parsed:
             parsed[cell] = frozenset(
-                label for token in cell.split() for label in expand_label_range(token)
+                label for token in cell.split()
+                for label in (expand_label_range(token) if ".." in token else (token,))
             )
         return parsed[cell]
 

@@ -370,6 +370,9 @@ def guards_from_harvest(harvest: Harvest, backend: BackendConfig) -> frozenset[s
 
 _RANGE_RE = re.compile(r"^([A-Za-z_][\w.]*?)([0-9]+)\.\.([A-Za-z_][\w.]*?)([0-9]+)$")
 _SUFFIX_RE = re.compile(r"^([A-Za-z_][\w.]*?)([0-9]+)$")
+# The numbers state_rows writes; int() alone also takes signs, blanks, '_' and non-ASCII digits.
+_WIDTH_RE = re.compile(r"[0-9]*")
+_ADDRESS_RE = re.compile(r"(?:0x[0-9A-Fa-f]+)?")
 
 
 MAX_LABEL_RANGE = 4096  # labels one range or register bank may expand to
@@ -505,6 +508,8 @@ def load_states_csv(text: str, path: str = "<states>") -> tuple[StateTable, Expl
         if label in read_modes:
             raise MalformedLine(f"{path}:{lineno}: duplicate state {label!r}")
         try:
+            if not (_WIDTH_RE.fullmatch(width) and _ADDRESS_RE.fullmatch(address)):
+                raise ValueError
             entries.append(StateEntry(
                 label=label,
                 kind=kind,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import jsonout
@@ -29,21 +29,24 @@ from .isa_model import StateTable, comma_rows, natural_key, state_label
 # Token alternatives, tried in order: whitespace (only these four characters;
 # \x0b is an atom character), a ; comment, a paren, a |symbol|, a "string"
 # with \ escapes, an atom, and an unclosed | or " that takes the rest of the
-# text, so that one failed scan ends the reading.
+# text, so that one failed scan ends the reading. A trace also reads a closed
+# event of the producer's shape, (read-reg|write-reg |R| nil|(field |F|) (_ bvN W)),
+# as one token whose groups are its head, R and F: it names (R, F or None).
 _QUOTED = r'\|[^|]*\||"(?:[^"\\]|\\.)*"'
-_SEXPR_TOKEN = re.compile(
-    r'[ \t\r\n]+|;[^\n]*|[()]|' + _QUOTED + r'|[^ \t\r\n();"|]+|[|"].*', re.DOTALL
-)
+_TOKEN = r'[ \t\r\n]+|;[^\n]*|[()]|' + _QUOTED + r'|[^ \t\r\n();"|]+|[|"].*'
+_EVENT = r'\((read-reg|write-reg) \|([^|]+)\| (?:nil|\(field \|([^|]+)\|\)) \(_ bv[0-9]+ [0-9]+\)\)'
+_SEXPR_TOKEN = re.compile(f"({_TOKEN})()()()", re.DOTALL)  # (token, "", "", "")
+_TRACE_TOKEN = re.compile(f"({_EVENT}|{_TOKEN})", re.DOTALL)  # (token, head, R, F)
 _CLOSED = re.compile(_QUOTED, re.DOTALL)
 _BLANK = " \t\r\n;"
 
 
-def _line(text: str, tokens: list[str], i: int) -> int:
+def _line(text: str, tokens: list, i: int) -> int:
     """Line of token i; the tokens cover the text, so it starts where the others end."""
-    return text.count("\n", 0, sum(map(len, tokens[:i]))) + 1
+    return text.count("\n", 0, sum(len(t[0]) for t in tokens[:i])) + 1
 
 
-def _opening(tokens: list[str], forms: list, form: list) -> int:
+def _opening(tokens: list, forms: list, form: list) -> int:
     """Index of the '(' token that opens `form`: lists open in pre-order."""
     stack = list(reversed(forms))
     k = 0
@@ -51,21 +54,22 @@ def _opening(tokens: list[str], forms: list, form: list) -> int:
         if isinstance(item, list):
             k += 1
             stack.extend(reversed(item))
-    return [i for i, tok in enumerate(tokens) if tok == "("][k]
+    return [i for i, t in enumerate(tokens) if t[0] == "("][k]
 
 
-def parse_sexprs(text: str, path: str = "<trace>") -> list:
-    """All top-level forms; lists nest as Python lists, atoms are str.
-
-    A |symbol| loses its bars and a "string" keeps its quotes."""
-    tokens = _SEXPR_TOKEN.findall(text)
-    closed = not tokens or tokens[-1][0] not in '|"' or _CLOSED.fullmatch(tokens[-1])
-    unclosed = "" if closed else tokens.pop()
+def _forms(text: str, path: str, pattern: re.Pattern) -> list:
+    """All top-level forms as `pattern` tokenizes them; a whole event is the
+    tuple (head, (R, F or None)), and is not a list."""
+    tokens = pattern.findall(text)
+    closed = not tokens or tokens[-1][0][0] not in '|"' or _CLOSED.fullmatch(tokens[-1][0])
+    unclosed = "" if closed else tokens.pop()[0]
     top: list = []
     stack = [top]
-    for i, tok in enumerate(tokens):
+    for i, (tok, head, register, field) in enumerate(tokens):
         c = tok[0]
-        if c == "(":
+        if register:
+            stack[-1].append((head, (register, field or None)))
+        elif c == "(":
             form: list = []
             stack[-1].append(form)
             stack.append(form)
@@ -85,6 +89,13 @@ def parse_sexprs(text: str, path: str = "<trace>") -> list:
             "unclosed '('", path, _line(text, tokens, _opening(tokens, top, stack[-1]))
         )
     return top
+
+
+def parse_sexprs(text: str, path: str = "<trace>") -> list:
+    """All top-level forms; lists nest as Python lists, atoms are str.
+
+    A |symbol| loses its bars and a "string" keeps its quotes."""
+    return _forms(text, path, _SEXPR_TOKEN)
 
 
 # -- trace reading -----------------------------------------------------------
@@ -114,34 +125,41 @@ def _first_field(args) -> str | None:
     return None
 
 
-def parse_trace(text: str, path: str = "<trace>", name: str = "") -> TraceBundle:
-    """The (register, field) pairs that the read-reg and write-reg events name."""
-    forms = parse_sexprs(text, path)
+def _event_pairs(text: str, path: str) -> tuple[frozenset[StatePair], frozenset[StatePair]]:
+    """The read and write pairs that the events outside any other event name."""
+    forms = _forms(text, path, _TRACE_TOKEN)
     pairs: dict[str, set[StatePair]] = {"read-reg": set(), "write-reg": set()}
     stack = list(reversed(forms))
     while stack:
         form = stack.pop()
-        if not isinstance(form, list) or not form:
+        if type(form) is str or not form:
             continue
         head = form[0]
-        if isinstance(head, list):
+        if type(form) is tuple:
+            pairs[head].add(form[1])
+        elif type(head) is not str:
             stack.extend(reversed(form))
         elif head in pairs:
-            register = next((a for a in form[1:] if isinstance(a, str)), None)
-            if register is None:
+            register = next((a for a in form[1:] if isinstance(a, str)), "")
+            field = _first_field(form[2:])
+            if not register or field == "":
                 # Lines are found only here: the head is the first token
                 # after the '(' that opens the event.
-                tokens = _SEXPR_TOKEN.findall(text)
+                tokens = _TRACE_TOKEN.findall(text)
                 i = _opening(tokens, forms, form) + 1
-                while tokens[i][0] in _BLANK:
+                while tokens[i][0][0] in _BLANK:
                     i += 1
-                raise MalformedSExpression(
-                    f"{head} event without a register name", path, _line(text, tokens, i)
-                )
-            pairs[head].add((register, _first_field(form[2:])))
+                what = "without a register name" if not register else "with an empty field name"
+                raise MalformedSExpression(f"{head} event {what}", path, _line(text, tokens, i))
+            pairs[head].add((register, field))
         else:
             stack.extend(reversed(form[1:]))
-    return TraceBundle(name, frozenset(pairs["read-reg"]), frozenset(pairs["write-reg"]), path)
+    return frozenset(pairs["read-reg"]), frozenset(pairs["write-reg"])
+
+
+def parse_trace(text: str, path: str = "<trace>", name: str = "") -> TraceBundle:
+    """The (register, field) pairs that the read-reg and write-reg events name."""
+    return TraceBundle(name, *_event_pairs(text, path), path)
 
 
 # -- manifest ----------------------------------------------------------------
@@ -178,8 +196,8 @@ def load_traces(manifest_path: str) -> list[TraceBundle]:
         tpath = fname if os.path.isabs(fname) else os.path.join(base, fname)
         # Reports name the file as the manifest does, so they do not depend
         # on where the manifest lives; errors name the resolved path.
-        bundle = parse_trace(read_text(tpath, "trace file"), tpath, name)
-        bundles.append(replace(bundle, source_path=fname))
+        pairs = _event_pairs(read_text(tpath, "trace file"), tpath)
+        bundles.append(TraceBundle(name, *pairs, fname))
     return bundles
 
 
@@ -235,6 +253,7 @@ def validate(
     by_name: dict[str, list[TraceBundle]] = {}
     for b in bundles:
         by_name.setdefault(b.name, []).append(b)
+    key: dict[StatePair, tuple] = {}  # the natural_key of each distinct pair's label
 
     results: list[ValidationResult] = []
     unknown_names: list[str] = []
@@ -253,7 +272,8 @@ def validate(
             ("read", frozenset().union(*(b.reads for b in group)), scan.reads),
             ("write", frozenset().union(*(b.writes for b in group)), scan.writes),
         ):
-            for register, field in sorted(pairs, key=lambda p: natural_key(state_label(*p))):
+            key.update((p, natural_key(state_label(*p))) for p in pairs if p not in key)
+            for register, field in sorted(pairs, key=key.__getitem__):
                 label = state_label(register, field)
                 if label not in table and register not in table:
                     unknown.add(register)

@@ -531,8 +531,9 @@ BROKEN_CASES = (FIXTURES / "broken" / "cases.txt").read_text().splitlines()
 def test_broken_input_exits_one_with_its_error_line(tmp_path, row):
     """Each `argv|error line` row of cases.txt, the table the CI
     console-script step also reads; argv splits on whitespace, as bash
-    splits it there."""
+    splits it there, and {root} in the error line is the checkout root."""
     args, expected = row.split("|", 1)
+    expected = expected.replace("{root}", str(REPO))
     proc = subprocess.run(
         [sys.executable, "-m", "sailstate", *args.split(), "--out", str(tmp_path / "out")],
         stdin=subprocess.DEVNULL, capture_output=True, text=True, cwd=REPO,

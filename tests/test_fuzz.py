@@ -64,13 +64,11 @@ sail_decl = st.one_of(
     ),
 )
 sail_decls = st.lists(sail_decl, max_size=4).map("\n".join)
-sexpr_text = st.lists(
-    st.sampled_from((
-        "(", ")", "trace", "read-reg", "write-reg", "field", "|x|", '"s"', ";", "\n",
-        "\x0b", "||", '"\\"', '"\\\\"', "|read-reg|", "( ;c\n read-reg",
-    )),
-    max_size=40,
-).map(" ".join)
+SEXPR_WORDS = (
+    "(", ")", "trace", "read-reg", "write-reg", "field", "|x|", '"s"', ";", "\n",
+    "\x0b", "||", '"\\"', '"\\\\"', "|read-reg|", "( ;c\n read-reg",
+)
+sexpr_text = st.lists(st.sampled_from(SEXPR_WORDS), max_size=40).map(" ".join)
 
 json_string = st.sampled_from(("Machine", "mepc", "mstatus", "mstatus.MIE", "SideChannel", ""))
 json_value = st.one_of(

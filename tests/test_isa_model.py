@@ -362,6 +362,27 @@ def test_states_csv_names_the_line_a_record_starts_on(records, line):
         load_states_csv(text, "s.csv")
 
 
+@pytest.mark.parametrize("width, address", [
+    ("-8", ""), ("+8", ""), (" 8", ""), ("8 ", ""), ("1_6", ""), ("\uff18", ""), ("\u0668", ""),
+    ("8", "-0x300"), ("8", "+0x300"), ("8", "0x3_00"), ("8", " 0x300"), ("8", "300"),
+    ("8", "0X300"), ("8", "0x"), ("8", "0x300 "), ("8", "0xg"),
+])
+def test_states_csv_reads_only_the_numbers_it_writes(width, address):
+    """int() alone would take signs, blanks, '_' and non-ASCII digits."""
+    text = f"{','.join(STATES_COLUMNS)}\nmstatus,csr,{width},{address},,,\n"
+    message = f"s.csv:2: width must be decimal and address hexadecimal, got {width!r} and {address!r}"
+    with pytest.raises(MalformedLine) as info:
+        load_states_csv(text, "s.csv")
+    assert str(info.value) == message
+
+
+def test_states_csv_reads_hex_digits_in_either_case():
+    text = f"{','.join(STATES_COLUMNS)}\nm,csr,64,0xC0f,,,\nn,csr,,,,,\n"
+    table, _explicit = load_states_csv(text, "s.csv")
+    assert (table["m"].width, table["m"].address) == (64, 0xC0F)
+    assert (table["n"].width, table["n"].address) == (None, None)
+
+
 def test_range_expansion():
     assert expand_label_range("f0..f3") == ["f0", "f1", "f2", "f3"]
     assert expand_label_range("mepc") == ["mepc"]

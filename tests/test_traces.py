@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sailstate.errors import (
     IoError,
@@ -17,6 +21,7 @@ from sailstate.traces import (
 )
 
 from conftest import FIXTURES
+from test_fuzz import SEXPR_WORDS
 
 TRACES = FIXTURES / "traces"
 
@@ -39,6 +44,11 @@ def test_parse_sexprs_atom_characters():
     ("(trace\n  (a)\n  (b |sym\n c))", 3, "unterminated |...| symbol"),
     ('(trace\n  (a)\n  (b "str\n c))', 3, "unterminated string"),
     ("(trace\n  ( ; event\n   read-reg))", 3, "read-reg event without a register name"),
+    # An empty |...| symbol, in a producer-shaped event or any other.
+    ("(trace\n  (read-reg || nil (_ bv1 1)))", 2, "read-reg event without a register name"),
+    ("(trace\n  (read-reg ||\n nil v))", 2, "read-reg event without a register name"),
+    ("(trace\n  (write-reg |m| (field ||) (_ bv1 1)))", 2, "write-reg event with an empty field name"),
+    ("(trace\n  (write-reg |m|\n (field (field ||)) v))", 2, "write-reg event with an empty field name"),
 ])
 def test_malformed_sexpr_names_path_and_line(text, line, message):
     with pytest.raises(MalformedSExpression) as info:
@@ -92,6 +102,175 @@ def test_parse_trace_handles_deep_nesting():
     text = "(trace " + "(seq " * depth + "(write-reg |mepc| nil v)" + ")" * depth + ")"
     bundle = parse_trace(text, "<t>", name="DEEP")
     assert (bundle.reads, bundle.writes) == (frozenset(), {("mepc", None)})
+
+
+# -- the reader before whole events were one token, kept as an oracle ---------------
+
+_OLD_QUOTED = r'\|[^|]*\||"(?:[^"\\]|\\.)*"'
+_OLD_TOKEN = re.compile(
+    r'[ \t\r\n]+|;[^\n]*|[()]|' + _OLD_QUOTED + r'|[^ \t\r\n();"|]+|[|"].*', re.DOTALL
+)
+_OLD_CLOSED = re.compile(_OLD_QUOTED, re.DOTALL)
+_OLD_BLANK = " \t\r\n;"
+
+
+def _old_line(text, tokens, i):
+    return text.count("\n", 0, sum(map(len, tokens[:i]))) + 1
+
+
+def _old_opening(tokens, forms, form):
+    stack = list(reversed(forms))
+    k = 0
+    while (item := stack.pop()) is not form:
+        if isinstance(item, list):
+            k += 1
+            stack.extend(reversed(item))
+    return [i for i, tok in enumerate(tokens) if tok == "("][k]
+
+
+def _old_parse_sexprs(text, path):
+    tokens = _OLD_TOKEN.findall(text)
+    closed = not tokens or tokens[-1][0] not in '|"' or _OLD_CLOSED.fullmatch(tokens[-1])
+    unclosed = "" if closed else tokens.pop()
+    top = []
+    stack = [top]
+    for i, tok in enumerate(tokens):
+        c = tok[0]
+        if c == "(":
+            form = []
+            stack[-1].append(form)
+            stack.append(form)
+        elif c == ")":
+            if len(stack) == 1:
+                raise MalformedSExpression("unmatched ')'", path, _old_line(text, tokens, i))
+            stack.pop()
+        elif c == "|":
+            stack[-1].append(tok[1:-1])
+        elif c not in _OLD_BLANK:
+            stack[-1].append(tok)
+    if unclosed:
+        what = "unterminated |...| symbol" if unclosed[0] == "|" else "unterminated string"
+        raise MalformedSExpression(what, path, _old_line(text, tokens, len(tokens)))
+    if len(stack) > 1:
+        raise MalformedSExpression(
+            "unclosed '('", path, _old_line(text, tokens, _old_opening(tokens, top, stack[-1]))
+        )
+    return top
+
+
+def _old_first_field(args):
+    stack = list(reversed(args))
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list) and item and item[0] == "field":
+            atom = next((a for a in item[1:] if isinstance(a, str)), None)
+            if atom is not None:
+                return atom
+            stack.extend(reversed(item[1:]))
+    return None
+
+
+def _old_parse_trace(text, path):
+    forms = _old_parse_sexprs(text, path)
+    pairs = {"read-reg": set(), "write-reg": set()}
+    stack = list(reversed(forms))
+    while stack:
+        form = stack.pop()
+        if not isinstance(form, list) or not form:
+            continue
+        head = form[0]
+        if isinstance(head, list):
+            stack.extend(reversed(form))
+        elif head in pairs:
+            register = next((a for a in form[1:] if isinstance(a, str)), None)
+            if register is None:
+                tokens = _OLD_TOKEN.findall(text)
+                i = _old_opening(tokens, forms, form) + 1
+                while tokens[i][0] in _OLD_BLANK:
+                    i += 1
+                raise MalformedSExpression(
+                    f"{head} event without a register name", path, _old_line(text, tokens, i)
+                )
+            pairs[head].add((register, _old_first_field(form[2:])))
+        else:
+            stack.extend(reversed(form[1:]))
+    return frozenset(pairs["read-reg"]), frozenset(pairs["write-reg"])
+
+
+def _outcome(read, text):
+    try:
+        return read(text, "t.trace")
+    except MalformedSExpression as exc:
+        return type(exc), str(exc), exc.line
+
+
+def _reads_writes(text, path):
+    bundle = parse_trace(text, path)
+    return bundle.reads, bundle.writes
+
+
+# Whole producer events and near misses of their shape, to glue between the
+# fuzz pieces: a barred head, a second field atom, a bad width, a comment, an
+# event in an event or at the head of a list, an event inside a string or a
+# symbol, a newline in a symbol, empty symbols, an unclosed event and the
+# start of an event that a list of pieces may fill.
+EVENT_WORDS = (
+    "(read-reg |cur_privilege| nil (_ bv2 2))",
+    "(write-reg |mstatus| (field |MPIE|) (_ bv1 1))",
+    "(read-reg |mepc| nil (_ bv2147485696 64))",
+    "(|read-reg| |a| nil (_ bv1 1))",
+    "(read-reg |a| (field |F| |G|) (_ bv1 1))",
+    "(read-reg |a| nil (_ bv12x 1))",
+    "(read-reg |a| nil ; c\n (_ bv1 1))",
+    "(read-reg |a| (field |F|)",
+    "(write-reg |b| ",
+    "((write-reg |m| (field |F|) (_ bv1 1)) x)",
+    '"(read-reg |a| nil (_ bv1 1))"',
+    "|(read-reg|",
+    "(read-reg |a\nb| nil (_ bv1 1))",
+    "(read-reg || nil (_ bv1 1))",
+    "(write-reg |m| (field ||) (_ bv1 1))",
+    "(read-reg |a| nil (_ bv1 1)",
+    "write-reg |b|",
+)
+trace_words = st.sampled_from(SEXPR_WORDS + EVENT_WORDS)
+trace_text = st.one_of(
+    st.lists(st.tuples(trace_words, st.sampled_from((" ", "", "\n"))), max_size=30).map(
+        lambda pieces: "".join(word + sep for word, sep in pieces)
+    ),
+    # Balanced lists of pieces, so that events sit inside other forms.
+    st.recursive(
+        trace_words,
+        lambda inner: st.lists(inner, max_size=5).map(lambda forms: f"({' '.join(forms)})"),
+        max_leaves=30,
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=500)
+@given(trace_text)
+@example("(trace (read-reg |a| nil (_ bv1 1))\n (write-reg |m| (field |F|) (_ bv1 1)))")
+@example("(trace (write-reg |b| (read-reg |a| nil (_ bv1 1))))")
+@example("(trace (read-reg (write-reg |m| (field |F|) (_ bv1 1)) (field |G|)))")
+@example("((read-reg |a| nil (_ bv1 1)) (write-reg |b| nil (_ bv1 1)))")
+@example('(trace "(read-reg |a| nil (_ bv1 1))" |(read-reg| (read-reg |a| nil ; c\n (_ bv1 1)))')
+@example("(trace (|read-reg| |a| nil (_ bv1 1)) (read-reg |a| (field |F| |G|) (_ bv12x 1)))")
+@example("(trace\n (read-reg |a| nil (_ bv1 1))\n (write-reg (read-reg |b| nil (_ bv1 1))))")
+def test_whole_events_read_as_the_old_reader_reads_them(text):
+    """Equal reads and writes, or the same error at the same line. The one
+    change: an empty |...| register or field is an error at its event.
+    parse_sexprs reads no whole events, so its forms are unchanged."""
+    assert _outcome(parse_sexprs, text) == _outcome(_old_parse_sexprs, text)
+    expected = _outcome(_old_parse_trace, text)
+    got = _outcome(_reads_writes, text)
+    if got == expected:
+        return
+    assert got[0] is MalformedSExpression, (got, expected)
+    assert got[1].endswith(("event without a register name", "event with an empty field name"))
+    if expected[0] is MalformedSExpression:
+        assert expected[1].endswith("event without a register name") and got[2] <= expected[2]
+    else:
+        assert any("" in pair for pair in expected[0] | expected[1]), (got, expected)
 
 
 # -- manifest loading -----------------------------------------------------------------
