@@ -14,7 +14,7 @@ from typing import Container, Mapping, NamedTuple, NoReturn
 
 from . import jsonout
 from .backend import BackendConfig
-from .errors import MalformedLine, UnknownMode, UnknownState
+from .errors import MalformedLine, UnknownMode
 from .footprint import InstructionInsight
 from .isa_model import ExplicitAccess, StateEntry, StateTable, split_label
 
@@ -69,8 +69,7 @@ class AccessMatrix:
 
     def flags(self, mode: str, label: str) -> AccessFlags:
         sets = self._sets_of(mode)
-        if label not in self.table:
-            raise UnknownState(f"unknown state {label!r}")
+        self.table.resolve(label)
         return AccessFlags(
             *(label in sets[flag] for flag in FLAG_SETS),
             derived=frozenset(flag for flag, key in DERIVED_SETS if label in sets[key]),
@@ -118,52 +117,24 @@ def build_access_matrix(
     """Populate the matrix from the implicit footprint labels of executable
     instructions, then derive whole<->field implicit flags one step.
 
-    Instructions that share a (privileges, implicit reads, implicit writes)
-    triple form one group, which is checked and unioned into the modes it
-    admits once. A group keeps the key of its first instruction in sorted
-    order, so an error names that instruction and the first bad label of
-    its own sets. An instruction that runs in no mode is not checked for
-    unknown labels. A flag derived from a sibling's original access does
-    not seed further derivation, so one written field never marks its
-    siblings written. A state's mode cells must name the backend's modes.
+    Labels must be the table's and modes the backend's, as
+    instruction_insights and the saved-file loaders give them. Instructions
+    that share a (privileges, implicit reads, implicit writes) triple are
+    unioned into the modes they admit once. A flag derived from a sibling's
+    original access does not seed further derivation, so one written field
+    never marks its siblings written.
     """
     modes = backend.mode_order
     sets = {m: {flag: set() for flag in FLAG_SETS} for m in modes}
-    groups: dict[tuple[frozenset[str], frozenset[str], frozenset[str]], str] = {}
-    for name in sorted(insights):
-        ins = insights[name]
-        fp = ins.footprint
-        groups.setdefault((ins.privileges, fp.implicit_reads, fp.implicit_writes), name)
-    known, mode_set = table.entries.keys(), frozenset(modes)
-    for (privileges, reads, writes), name in groups.items():
-        if not privileges <= mode_set:
-            raise UnknownMode(
-                f"instruction {name!r} runs in unknown mode {min(privileges - mode_set)!r}; "
-                f"expected one of {', '.join(modes)}"
-            )
-        admitted = [m for m in modes if m in privileges]
-        if not admitted:
-            continue
-        for labels in (reads, writes):
-            if not known >= labels:
-                label = next(label for label in labels if label not in known)
-                raise UnknownState(
-                    f"instruction {name!r} references unknown state {label!r}"
-                )
-        for m in admitted:
+    for privileges, reads, writes in {
+        (ins.privileges, ins.footprint.implicit_reads, ins.footprint.implicit_writes)
+        for ins in insights.values()
+    }:
+        for m in privileges:
             sets[m]["implicit_read"] |= reads
             sets[m]["implicit_write"] |= writes
-    for label in table.labels():
-        for verb, cells, flag in (
-            ("readable", explicit.read_modes, "explicit_read"),
-            ("writable", explicit.write_modes, "explicit_write"),
-        ):
-            label_modes = cells.get(label, frozenset())
-            if not label_modes <= mode_set:
-                raise UnknownMode(
-                    f"state {label!r} is {verb} in unknown mode "
-                    f"{min(label_modes - mode_set)!r}; expected one of {', '.join(modes)}"
-                )
+    for flag, cells in zip(FLAG_SETS, (explicit.read_modes, explicit.write_modes)):
+        for label, label_modes in cells.items():
             for m in label_modes:
                 sets[m][flag].add(label)
     for flag, key in DERIVED_SETS:

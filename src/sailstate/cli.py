@@ -130,12 +130,14 @@ def _analysis_inputs(
 ) -> tuple[BackendConfig, dict[str, InstructionInsight], StateTable, ExplicitAccess]:
     """Honour --insights/--states when given, else analyse the corpus."""
     backend = load_backend(args.backend)
-    if getattr(args, "insights", None) or getattr(args, "states", None):
+    if args.insights or args.states:
         if not (args.insights and args.states):
             raise SailstateError("--insights and --states must be given together")
         _reject_corpus_flags(args, "--insights/--states")
-        insights = load_insights_csv(read_text(args.insights, "insights"), args.insights)
-        table, explicit = load_states_csv(read_text(args.states, "states"), args.states)
+        modes = backend.mode_order
+        table, explicit = load_states_csv(read_text(args.states, "states"), modes, args.states)
+        text = read_text(args.insights, "insights")
+        insights = load_insights_csv(text, table, modes, args.insights)
         return backend, insights, table, explicit
     _paths, _model, table, explicit, insights = _analyse_corpus(args, backend)
     return backend, insights, table, explicit

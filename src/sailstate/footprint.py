@@ -15,12 +15,14 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Mapping
 
 from .backend import BackendConfig, BankSpec
-from .errors import MalformedLine, MissingEntryFunction
+from .errors import MalformedLine, MissingEntryFunction, UnknownState
 from .isa_model import (
+    StateTable,
     bank_labels,
     compress_labels,
     expand_label_range,
     guards_from_harvest,
+    mode_fault,
     read_csv_rows,
     state_label,
 )
@@ -372,21 +374,27 @@ def insight_rows(
 
 
 def load_insights_csv(
-    text: str, path: str = "<insights>"
+    text: str, table: StateTable, modes: tuple[str, ...], path: str = "<insights>"
 ) -> dict[str, InstructionInsight]:
-    """Inverse of insight_rows, minus call paths (not needed downstream)."""
+    """Inverse of insight_rows, minus call paths (not needed downstream).
+
+    Privileges must name only `modes` and footprint cells only states of
+    `table`; the first faulty row in file order is an error at its line."""
     # Rows repeat cells (every instruction carries the baseline), so each
-    # distinct cell is expanded once per call, and equal cells share one set;
-    # only a token holding '..' can be a range.
+    # distinct cell is expanded and checked once per call, and equal cells
+    # share one set; only a token holding '..' can be a range.
     parsed: dict[str, frozenset[str]] = {}
-    modes: dict[str, frozenset[str]] = {}
+    privileges: dict[str, frozenset[str]] = {}
+    known, mode_set = table.entries.keys(), frozenset(modes)
 
     def labels(cell: str) -> frozenset[str]:
         if cell not in parsed:
-            parsed[cell] = frozenset(
+            found = parsed[cell] = frozenset(
                 label for token in cell.split()
                 for label in (expand_label_range(token) if ".." in token else (token,))
             )
+            if not found <= known:
+                raise UnknownState(f"references unknown state {min(found - known)!r}")
         return parsed[cell]
 
     insights: dict[str, InstructionInsight] = {}
@@ -394,16 +402,17 @@ def load_insights_csv(
         name, privs, er, ir, ew, iw, externals, _via = row
         if name in insights:
             raise MalformedLine(f"{path}:{lineno}: duplicate instruction {name!r}")
+        if privs not in privileges:
+            found = privileges[privs] = frozenset(privs.split())
+            if not found <= mode_set:
+                raise mode_fault(f"{path}:{lineno}: instruction {name!r} runs", found, modes)
         try:
             footprint = Footprint(labels(er), labels(ir), labels(ew), labels(iw))
         except MalformedLine as exc:
             raise MalformedLine(f"{path}:{lineno}: {exc}") from None
-        if privs not in modes:
-            modes[privs] = frozenset(privs.split())
+        except UnknownState as exc:
+            raise UnknownState(f"{path}:{lineno}: instruction {name!r} {exc}") from None
         insights[name] = InstructionInsight(
-            instruction=name,
-            privileges=modes[privs],
-            footprint=footprint,
-            externals=frozenset(externals.split()),
+            name, privileges[privs], footprint, frozenset(externals.split())
         )
     return insights

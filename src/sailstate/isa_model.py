@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 from .backend import BackendConfig, BankSpec
-from .errors import BackendConfigError, MalformedLine, UnknownCsrAddress, UnknownState
+from .errors import BackendConfigError, MalformedLine, UnknownCsrAddress, UnknownMode, UnknownState
 from .parser import Body, Harvest, SailModel, int_literal
 from .tokens import COMPARISON_OPS
 
@@ -472,6 +472,13 @@ def comma_rows(text: str):
             yield lineno, raw, [cell.strip() for cell in line.split(",")]
 
 
+def mode_fault(where: str, found: frozenset[str], modes: tuple[str, ...]) -> UnknownMode:
+    """The error of a saved cell `found` naming a mode outside `modes`."""
+    return UnknownMode(
+        f"{where} in unknown mode {min(found - set(modes))!r}; expected one of {', '.join(modes)}"
+    )
+
+
 STATES_COLUMNS = ("state", "kind", "width", "address", "parent", "readable", "writable")
 
 
@@ -498,11 +505,20 @@ def state_rows(
     return rows
 
 
-def load_states_csv(text: str, path: str = "<states>") -> tuple[StateTable, ExplicitAccess]:
-    """Inverse of state_rows, for running later stages from saved files."""
+def load_states_csv(
+    text: str, modes: tuple[str, ...], path: str = "<states>"
+) -> tuple[StateTable, ExplicitAccess]:
+    """Inverse of state_rows, for running later stages from saved files.
+
+    Mode cells must name only `modes`, the backend's, and a field's parent
+    must be its register, which has a row of its own. The first faulty row
+    in file order is an error at its line; a field whose register has no
+    row is found once every row is read."""
     entries: list[StateEntry] = []
     read_modes: dict[str, frozenset[str]] = {}
     write_modes: dict[str, frozenset[str]] = {}
+    mode_set = frozenset(modes)
+    fields: list[tuple[int, str, str]] = []  # (line, field, register)
     for lineno, row in read_csv_rows(text, path, STATES_COLUMNS):
         label, kind, width, address, parent, readable, writable = row
         if label in read_modes:
@@ -522,6 +538,21 @@ def load_states_csv(text: str, path: str = "<states>") -> tuple[StateTable, Expl
                 f"{path}:{lineno}: width must be decimal and address hexadecimal, "
                 f"got {width!r} and {address!r}"
             ) from None
-        read_modes[label] = frozenset(readable.split())
-        write_modes[label] = frozenset(writable.split())
+        read, write = frozenset(readable.split()), frozenset(writable.split())
+        for verb, found in (("readable", read), ("writable", write)):
+            if not found <= mode_set:
+                raise mode_fault(f"{path}:{lineno}: state {label!r} is {verb}", found, modes)
+        read_modes[label], write_modes[label] = read, write
+        register, field = split_label(label)
+        if field is not None:
+            if parent != register:
+                raise MalformedLine(
+                    f"{path}:{lineno}: field {label!r} names parent {parent!r}, not {register!r}"
+                )
+            fields.append((lineno, label, register))
+    for lineno, label, register in fields:
+        if register not in read_modes:
+            raise MalformedLine(
+                f"{path}:{lineno}: register {register!r} of field {label!r} has no row"
+            )
     return StateTable(entries), ExplicitAccess(read_modes, write_modes)

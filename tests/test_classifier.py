@@ -161,8 +161,7 @@ _STATES = [
     _entry("r1"), _entry("r2"), _entry("r2.C", "csr_field", "r2"),
     _entry("r9.Z", "csr_field", "r9"),
 ]
-# Known labels three times over, so that most footprints are all known.
-_LABELS = [e.label for e in _STATES] * 3 + ["ghost0", "ghost1"]
+_LABELS = [e.label for e in _STATES]
 _FOOTPRINT = st.tuples(
     st.frozensets(st.sampled_from(_MODES)),
     st.lists(st.sampled_from(_LABELS), unique=True, max_size=4),
@@ -172,20 +171,13 @@ _FOOTPRINT = st.tuples(
 
 def _rebuild_per_instruction(insights, table):
     """Each instruction's labels added one by one to each mode it runs in,
-    then widened one step whole<->field: (read, write) sets per mode, or the
-    UnknownState message for the first unknown label met."""
+    then widened one step whole<->field: (read, write) sets per mode."""
     flagged = {m: (set(), set()) for m in _MODES}
-    for name in sorted(insights):
-        ins = insights[name]
-        admitted = [m for m in _MODES if m in ins.privileges]
-        if not admitted:
-            continue
+    for ins in insights.values():
         fp = ins.footprint
         for column, labels in enumerate((fp.implicit_reads, fp.implicit_writes)):
             for label in labels:
-                if label not in table:
-                    return f"instruction {name!r} references unknown state {label!r}"
-                for m in admitted:
+                for m in ins.privileges:
                     flagged[m][column].add(label)
 
     def widen(labels):
@@ -226,11 +218,6 @@ def test_grouped_matrix_matches_a_per_instruction_rebuild(data):
     empty = {e.label: frozenset() for e in _STATES}
     explicit = ExplicitAccess(dict(empty), dict(empty))
     want = _rebuild_per_instruction(insights, table)
-    if isinstance(want, str):
-        with pytest.raises(UnknownState) as exc:
-            build_access_matrix(insights, explicit, table, _mini_backend(_MODES))
-        assert str(exc.value) == want
-        return
     matrix = build_access_matrix(insights, explicit, table, _mini_backend(_MODES))
     for mode in _MODES:
         (read, wide_read), (write, wide_write) = want[mode]

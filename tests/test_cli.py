@@ -601,24 +601,28 @@ def test_a_register_bank_holds_at_most_4096_elements(tmp_path, capsys, size):
     ({"mstatus": ("Hyper", ""), "mepc": ("Machine", "Bogus")}, "state 'mepc' is writable in unknown mode 'Bogus'"),
 ])
 def test_states_csv_mode_cells_must_be_backend_modes(tmp_path, edit, message):
-    """A saved mode that the backend lacks is an error, not a flag that no
-    mode can hold; readable is checked before writable, in table order."""
+    """A saved mode that the backend lacks is an error at its line, not a
+    flag that no mode can hold; readable is checked before writable, and
+    the first faulty row in file order is named."""
     scan = tmp_path / "scan"
     main(["scan", "--out", str(scan)])
     states = scan / "states.csv"
     rows = states.read_text().splitlines()
+    edited = []
     for i, row in enumerate(rows):
         cells = row.split(",")
         if cells[0] in edit:
             cells[5:7] = edit[cells[0]]
             rows[i] = ",".join(cells)
+            edited.append(i + 1)
     states.write_text("\n".join(rows) + "\n")
     proc = _run(
         "classify", "--insights", str(scan / "insights.csv"), "--states", str(states),
         "--source", "Supervisor", "--target", "Supervisor", "--out", str(tmp_path / "out"),
     )
     assert proc.returncode == 1, proc.stderr
-    assert proc.stderr == f"sailstate: error: {message}; expected one of User, Supervisor, Machine\n"
+    where = f"{states}:{edited[0]}"  # every edited row is faulty
+    assert proc.stderr == f"sailstate: error: {where}: {message}; expected one of User, Supervisor, Machine\n"
 
 
 def test_stray_bracket_in_the_corpus_exits_one(tmp_path):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from sailstate.backend import bundled_corpus_dir, default_backend, load_backend
-from sailstate.errors import MalformedLine, MissingEntryFunction
+from sailstate.errors import MalformedLine, MissingEntryFunction, UnknownMode, UnknownState
 from sailstate.footprint import (
     EMPTY_FOOTPRINT,
     INSIGHTS_COLUMNS,
@@ -22,7 +22,9 @@ from sailstate.footprint import (
     load_insights_csv,
     propagate,
 )
-from sailstate.isa_model import compress_labels, guards_from_harvest, natural_key
+from sailstate.isa_model import (
+    StateEntry, StateTable, compress_labels, discover_states, guards_from_harvest, natural_key,
+)
 from sailstate.parser import Body, Harvest, merge_units, parse_corpus, parse_unit
 from sailstate.tokens import tokenize
 
@@ -488,12 +490,12 @@ def test_via_groups_match_per_label_bfs(tmp_path):
 
 # -- insights CSV round trip -----------------------------------------------------
 
-def _assert_insights_round_trip(want, backend):
+def _assert_insights_round_trip(want, backend, table):
     buf = io.StringIO()
     writer = csv.DictWriter(buf, INSIGHTS_COLUMNS, lineterminator="\n")
     writer.writeheader()
     writer.writerows(insight_rows(want, backend))
-    got = load_insights_csv(buf.getvalue())
+    got = load_insights_csv(buf.getvalue(), table, backend.mode_order)
     assert sorted(got) == sorted(want)
     for instr, ins in want.items():
         back = got[instr]
@@ -516,13 +518,12 @@ def _corpus(name, corpus_paths):
 @pytest.mark.parametrize("include_baseline", [True, False])
 def test_insights_csv_round_trip(name, include_baseline, corpus_paths):
     backend, paths = _corpus(name, corpus_paths)
-    want = instruction_insights(
-        parse_corpus(paths), backend, include_baseline=include_baseline
-    )
-    _assert_insights_round_trip(want, backend)
+    model = parse_corpus(paths)
+    want = instruction_insights(model, backend, include_baseline=include_baseline)
+    _assert_insights_round_trip(want, backend, discover_states(model, backend))
 
 
-def test_insights_csv_round_trip_keeps_tags_of_equal_cells():
+def test_insights_csv_round_trip_keeps_tags_of_equal_cells(table):
     modes = frozenset({"Machine"})
     fp = _fp(
         reads=[("mepc", TAG_EXPLICIT), ("x1", TAG_IMPLICIT), ("x2", TAG_IMPLICIT)],
@@ -532,14 +533,14 @@ def test_insights_csv_round_trip_keeps_tags_of_equal_cells():
         "A": InstructionInsight("A", modes, fp, frozenset({"ext"})),
         "B": InstructionInsight("B", modes, _fp(reads=[("mepc", TAG_IMPLICIT)]), frozenset()),
     }
-    _assert_insights_round_trip(want, default_backend())
+    _assert_insights_round_trip(want, default_backend(), table)
 
 
 def test_insights_csv_names_the_line_of_a_too_wide_range():
     row = ["A", "Machine", "x0..x1000000", "", "", "", "", ""]
     text = ",".join(INSIGHTS_COLUMNS) + "\n" + ",".join(row) + "\n"
     with pytest.raises(MalformedLine, match=r"^i\.csv:2: label range 'x0\.\.x1000000' spans"):
-        load_insights_csv(text, "i.csv")
+        load_insights_csv(text, StateTable([]), ("Machine",), "i.csv")
 
 
 @pytest.mark.parametrize("rows, line", [
@@ -551,7 +552,38 @@ def test_insights_csv_names_the_line_a_record_starts_on(rows, line):
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows([INSIGHTS_COLUMNS, *rows])
     with pytest.raises(MalformedLine, match=rf"^i\.csv:{line}: label range 'x0\.\.x1000000'"):
-        load_insights_csv(out.getvalue(), "i.csv")
+        load_insights_csv(out.getvalue(), StateTable([]), ("Machine",), "i.csv")
+
+
+_LOADER_TABLE = StateTable([
+    StateEntry("mepc", "csr", 64, None, 0x341), StateEntry("x1", "gpr", 64, "Xs", None),
+])
+
+
+@pytest.mark.parametrize("rows, error, message", [
+    ([["A", "Machine Hyper", "", "", "", "", "", ""]], UnknownMode,
+     "i.csv:2: instruction 'A' runs in unknown mode 'Hyper'; expected one of User, Machine"),
+    ([["A", "Machine", "", "mepc ghost", "", "", "", ""]], UnknownState,
+     "i.csv:2: instruction 'A' references unknown state 'ghost'"),
+    ([["A", "Machine", "x1 ghost", "", "", "", "", ""]], UnknownState,
+     "i.csv:2: instruction 'A' references unknown state 'ghost'"),
+    ([["A", "Machine", "", "", "", "x0..x2", "", ""]], UnknownState,
+     "i.csv:2: instruction 'A' references unknown state 'x0'"),
+    # An instruction that runs in no mode is checked too.
+    ([["A", "", "", "", "mepc", "ghost", "", ""]], UnknownState,
+     "i.csv:2: instruction 'A' references unknown state 'ghost'"),
+    # The first faulty row in file order, not in sorted order; a cell is
+    # checked once, at the first row that holds it.
+    ([["B", "Machine", "", "", "", "", "", ""], ["C", "Machine", "ghost", "", "", "", "", ""],
+      ["A", "Bogus", "ghost", "", "", "", "", ""]], UnknownState,
+     "i.csv:3: instruction 'C' references unknown state 'ghost'"),
+])
+def test_insights_csv_cells_must_be_given_modes_and_states(rows, error, message):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([INSIGHTS_COLUMNS, *rows])
+    with pytest.raises(error) as info:
+        load_insights_csv(out.getvalue(), _LOADER_TABLE, ("User", "Machine"), "i.csv")
+    assert str(info.value) == message
 
 
 # -- insight_rows against an unmemoised writer ---------------------------------

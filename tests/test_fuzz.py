@@ -70,6 +70,32 @@ SEXPR_WORDS = (
 )
 sexpr_text = st.lists(st.sampled_from(SEXPR_WORDS), max_size=40).map(" ".join)
 
+
+def _csv_rows(cells):
+    """CSV text of rows whose cells are drawn from `cells`, one strategy per column."""
+    return st.lists(st.tuples(*cells), max_size=5).map(
+        lambda rows: "".join(",".join(row) + "\n" for row in rows)
+    )
+
+
+def _words(words):
+    return st.lists(st.sampled_from(words), max_size=3).map(" ".join)
+
+
+# Saved-file rows glued from bundled modes and labels and a few bad ones, so
+# that rows get past the syntax checks to the mode, label and parent checks.
+MODE_CELL = _words(("User", "Supervisor", "Machine", "Hyper"))
+LABEL_CELL = _words(("mepc", "mstatus", "mstatus.MIE", "x1", "x0..x3", "ghost", "mstatus.ZZ"))
+insights_rows = _csv_rows((
+    st.sampled_from(("A", "B")), MODE_CELL, LABEL_CELL, LABEL_CELL, LABEL_CELL, LABEL_CELL,
+    st.just(""), st.just(""),
+))
+states_rows = _csv_rows((
+    st.sampled_from(("m", "m.F", "n.G", "f0")), st.sampled_from(("csr", "csr_field", "fpr")),
+    st.sampled_from(("", "64")), st.sampled_from(("", "0x300")),
+    st.sampled_from(("", "m", "n", "Fs")), MODE_CELL, MODE_CELL,
+))
+
 json_string = st.sampled_from(("Machine", "mepc", "mstatus", "mstatus.MIE", "SideChannel", ""))
 json_value = st.one_of(
     json_string, st.none(), st.booleans(), st.integers(),
@@ -149,15 +175,15 @@ def test_load_backend(tmp_path_factory, text):
 
 
 @settings(derandomize=True)
-@given(st.text(), st.sampled_from(("", ",".join(INSIGHTS_COLUMNS) + "\n")))
-def test_load_insights_csv(text, header):
-    _rejects_cleanly(load_insights_csv, header + text, "insights.csv")
+@given(st.one_of(st.text(), insights_rows), st.sampled_from(("", ",".join(INSIGHTS_COLUMNS) + "\n")))
+def test_load_insights_csv(table, backend, text, header):
+    _rejects_cleanly(load_insights_csv, header + text, table, backend.mode_order, "insights.csv")
 
 
 @settings(derandomize=True)
-@given(st.text(), st.sampled_from(("", ",".join(STATES_COLUMNS) + "\n")))
-def test_load_states_csv(text, header):
-    _rejects_cleanly(load_states_csv, header + text, "states.csv")
+@given(st.one_of(st.text(), states_rows), st.sampled_from(("", ",".join(STATES_COLUMNS) + "\n")))
+def test_load_states_csv(backend, text, header):
+    _rejects_cleanly(load_states_csv, header + text, backend.mode_order, "states.csv")
 
 
 def _audit_report(text):

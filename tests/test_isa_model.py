@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sailstate.backend import bundled_corpus_dir, load_backend
-from sailstate.errors import BackendConfigError, MalformedLine, UnknownCsrAddress, UnknownState
+from sailstate.errors import (
+    BackendConfigError, MalformedLine, UnknownCsrAddress, UnknownMode, UnknownState,
+)
 from sailstate.footprint import instruction_insights
 from sailstate.isa_model import (
     DEFAULT_PERMISSION_RULE,
@@ -343,11 +345,14 @@ def test_bank_prefix_may_not_contain_a_dot(tmp_path):
         load_backend(str(ini))
 
 
+MODES = ("User", "Supervisor", "Machine")  # the bundled backend's
+
+
 def test_states_csv_rejects_a_repeated_state():
     rows = [",".join(STATES_COLUMNS), "PC,internal,64,,,,", "mepc,csr,64,0x341,,Machine,Machine"]
-    load_states_csv("\n".join(rows) + "\n", "s.csv")
+    load_states_csv("\n".join(rows) + "\n", MODES, "s.csv")
     with pytest.raises(MalformedLine, match=r"^s\.csv:4: duplicate state 'PC'$"):
-        load_states_csv("\n".join(rows + rows[1:2]) + "\n", "s.csv")
+        load_states_csv("\n".join(rows + rows[1:2]) + "\n", MODES, "s.csv")
 
 
 @pytest.mark.parametrize("records, line", [
@@ -359,7 +364,7 @@ def test_states_csv_rejects_a_repeated_state():
 def test_states_csv_names_the_line_a_record_starts_on(records, line):
     text = "\n".join([",".join(STATES_COLUMNS), *records]) + "\n"
     with pytest.raises(MalformedLine, match=rf"^s\.csv:{line}: (width must|expected 7 col)"):
-        load_states_csv(text, "s.csv")
+        load_states_csv(text, MODES, "s.csv")
 
 
 @pytest.mark.parametrize("width, address", [
@@ -372,13 +377,51 @@ def test_states_csv_reads_only_the_numbers_it_writes(width, address):
     text = f"{','.join(STATES_COLUMNS)}\nmstatus,csr,{width},{address},,,\n"
     message = f"s.csv:2: width must be decimal and address hexadecimal, got {width!r} and {address!r}"
     with pytest.raises(MalformedLine) as info:
-        load_states_csv(text, "s.csv")
+        load_states_csv(text, MODES, "s.csv")
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["m,csr,64,,,Machine Hyper,"], "s.csv:2: state 'm' is readable in unknown mode 'Hyper'"),
+    (["m,csr,64,,,,Bogus Hyper"], "s.csv:2: state 'm' is writable in unknown mode 'Bogus'"),
+    # The first faulty row in file order, whatever the natural order of labels.
+    (["b,csr,64,,,,", "a,csr,64,,,Bogus,", "a0,csr,64,,,,Hyper"],
+     "s.csv:3: state 'a' is readable in unknown mode 'Bogus'"),
+])
+def test_states_csv_mode_cells_must_be_the_given_modes(rows, message):
+    text = "\n".join([",".join(STATES_COLUMNS), *rows]) + "\n"
+    with pytest.raises(UnknownMode) as info:
+        load_states_csv(text, MODES, "s.csv")
+    assert str(info.value) == f"{message}; expected one of User, Supervisor, Machine"
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["m,csr,64,,,,", "m.F,csr_field,1,,n,,", "n,csr,64,,,,"],
+     "s.csv:3: field 'm.F' names parent 'n', not 'm'"),
+    (["m,csr,64,,,,", "m.F,csr_field,1,,,,"], "s.csv:3: field 'm.F' names parent '', not 'm'"),
+    (["g.F,csr_field,1,,g,,", "m,csr,64,,,,"], "s.csv:2: register 'g' of field 'g.F' has no row"),
+])
+def test_states_csv_fields_name_their_register_as_parent(rows, message):
+    text = "\n".join([",".join(STATES_COLUMNS), *rows]) + "\n"
+    with pytest.raises(MalformedLine) as info:
+        load_states_csv(text, MODES, "s.csv")
+    assert str(info.value) == message
+
+
+def test_states_csv_takes_fields_before_their_register_and_bank_elements():
+    """A register's row may follow its fields' rows; a bank element names its
+    bank register as parent and is not a field."""
+    rows = ["m.F,csr_field,1,,m,Machine,", "m,csr,64,,,Machine,", "f0,fpr,64,,Fs,User,User"]
+    text = "\n".join([",".join(STATES_COLUMNS), *rows]) + "\n"
+    table, explicit = load_states_csv(text, MODES, "s.csv")
+    assert [e.label for e in table.fields_of("m")] == ["m.F"]
+    assert table["f0"].parent == "Fs" and not table["f0"].is_field
+    assert explicit.write_modes["f0"] == frozenset({"User"})
 
 
 def test_states_csv_reads_hex_digits_in_either_case():
     text = f"{','.join(STATES_COLUMNS)}\nm,csr,64,0xC0f,,,\nn,csr,,,,,\n"
-    table, _explicit = load_states_csv(text, "s.csv")
+    table, _explicit = load_states_csv(text, MODES, "s.csv")
     assert (table["m"].width, table["m"].address) == (64, 0xC0F)
     assert (table["n"].width, table["n"].address) == (None, None)
 
